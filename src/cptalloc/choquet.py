@@ -53,14 +53,6 @@ class CptValue:
         return self.gain_part - self.loss_part
 
 
-def _check_wellposed(prefs: CptPreferences) -> None:
-    # Defense in depth: construction already enforces this.
-    if not prefs.alpha < 2.0 * min(prefs.gamma, prefs.delta):
-        raise NumericalError(
-            "ill-posed preferences: alpha < 2*min(gamma, delta) required"
-        )
-
-
 def cpt_discrete(prefs: CptPreferences, d: DiscreteEmpirical) -> CptValue:
     """Exact prospect value of a finite distribution.
 
@@ -131,7 +123,6 @@ def cpt_cdf(
         raise ValueError(f"tol must be > 0, got {tol}")
     if not 0.0 < tail_mass < 0.5:
         raise ValueError(f"tail_mass must lie in (0, 0.5), got {tail_mass}")
-    _check_wellposed(prefs)
     a, lam = prefs.alpha, prefs.lam
     inv_a = 1.0 / a
     gamma, delta = prefs.gamma, prefs.delta

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -79,49 +80,41 @@ class RunConfig:
     seed: int = 42
     out_dir: str = "out"
 
-    def validate(self) -> None:
-        req = _require
+    def __post_init__(self) -> None:
+        # Finiteness is checked per key so the message names it. Every range
+        # rule lives in the domain constructors built below.
         for key in ("alpha", "lambda", "gamma", "delta", "lo_frac", "hi_frac", "mu",
                     "sigma", "rate", "rate_base", "rate_vol", "w0", "z_tol", "cdf_tol"):
             val = getattr(self, _SCHEMA[key][0])
             if val is None:
                 continue
             vals = val if isinstance(val, tuple) else (val,)
-            req(all(np.isfinite(v) for v in vals), f"{key} must be finite")
-        req(0.0 < self.alpha < 1.0, "alpha must satisfy 0 < alpha < 1")
-        req(self.lam > 1.0, "lambda must satisfy lambda > 1")
-        req(0.28 < self.gamma < 1.0, "gamma must satisfy 0.28 < gamma < 1")
-        req(0.28 < self.delta < 1.0, "delta must satisfy 0.28 < delta < 1")
-        req(
-            self.alpha < 2.0 * min(self.gamma, self.delta),
-            "alpha must satisfy alpha < 2*min(gamma, delta)",
-        )
-        req(self.lo_frac <= 0.0 < self.hi_frac, "fraction bounds must satisfy lo_frac <= 0 < hi_frac")
+            _require(all(np.isfinite(v) for v in vals), f"{key} must be finite")
+        _require(self.rate_model in RATE_MODES, f"rate_model must be one of {RATE_MODES}")
+        if self.rate_model == "fixed":
+            _require(self.rate is not None, "missing required key: rate (needed when rate_model = fixed)")
+        _require(self.horizon >= 1, "horizon must be >= 1")
         for key in ("mu", "sigma"):
             val = getattr(self, key)
             if isinstance(val, tuple):
-                req(
+                _require(
                     len(val) == self.horizon,
                     f"{key} schedule must have one value per period (horizon = {self.horizon})",
                 )
-        for s in self.sigma if isinstance(self.sigma, tuple) else (self.sigma,):
-            req(s > 0.0, "sigma must be > 0")
-        req(self.rate_model in RATE_MODES, f"rate_model must be one of {RATE_MODES}")
-        if self.rate_model == "fixed":
-            req(self.rate is not None, "missing required key: rate (needed when rate_model = fixed)")
-        if self.rate is not None:
-            req(self.rate > -1.0, "rate must be > -1")
-        req(self.rate_base > -1.0, "rate_base must be > -1")
-        req(self.rate_vol >= 0.0, "rate_vol must be >= 0")
-        req(self.horizon >= 1, "horizon must be >= 1")
-        req(self.grid_points >= 2, "grid_points must be >= 2")
-        req(self.z_tol > 0.0, "z_tol must be > 0")
-        req(self.y_nodes >= 1, "y_nodes must be >= 1")
-        req(self.r_nodes >= 1, "r_nodes must be >= 1")
-        req(self.cdf_tol > 0.0, "cdf_tol must be > 0")
-        req(self.n_paths >= 1, "n_paths must be >= 1")
-        req(self.seed >= 0, "seed must be >= 0")
-        req(bool(self.out_dir), "out_dir must be non-empty")
+        try:
+            self.preferences()
+            self.constraints()
+            self.solver_settings()
+            self._normals()
+            GaussianSqrtTRate(self.rate_base, self.rate_vol)
+            if self.rate is not None:
+                DeterministicRate(self.rate)
+        except ValueError as exc:
+            # Domain messages use the domain's parameter names; report the keys.
+            raise ConfigError(_DOMAIN_NAME.sub(lambda m: _KEY_OF[m[0]], str(exc))) from exc
+        _require(self.n_paths >= 1, "n_paths must be >= 1")
+        _require(self.seed >= 0, "seed must be >= 0")
+        _require(bool(self.out_dir), "out_dir must be non-empty")
 
     def preferences(self) -> CptPreferences:
         return CptPreferences.create(self.alpha, self.lam, self.gamma, self.delta)
@@ -137,8 +130,14 @@ class RunConfig:
                 return [DiscreteEmpirical.from_csv(self.atom_file)] * self.horizon
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"atom_file: {exc}") from exc
-        mus = self.mu if isinstance(self.mu, tuple) else (self.mu,) * self.horizon
-        sigmas = self.sigma if isinstance(self.sigma, tuple) else (self.sigma,) * self.horizon
+        normals = self._normals()
+        return normals if len(normals) == self.horizon else normals * self.horizon
+
+    def _normals(self) -> list[Normal]:
+        """The mu/sigma return laws: one per period if either is a schedule, else one."""
+        n = self.horizon if isinstance(self.mu, tuple) or isinstance(self.sigma, tuple) else 1
+        mus = self.mu if isinstance(self.mu, tuple) else (self.mu,) * n
+        sigmas = self.sigma if isinstance(self.sigma, tuple) else (self.sigma,) * n
         return [Normal(m, s) for m, s in zip(mus, sigmas)]
 
     def y_distribution(self) -> Distribution:
@@ -165,10 +164,6 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _float(s: str) -> float:
-    return float(s)
-
-
 def _float_or_schedule(s: str):
     if "," not in s:
         return float(s)
@@ -178,39 +173,35 @@ def _float_or_schedule(s: str):
     return tuple(float(p) for p in parts)
 
 
-def _int(s: str) -> int:
-    return int(s)
-
-
-def _str(s: str) -> str:
-    return s
-
+# Domain parameter names that differ from the config keys users write.
+_KEY_OF = {"lam": "lambda", "base": "rate_base", "vol": "rate_vol"}
+_DOMAIN_NAME = re.compile(rf"\b({'|'.join(_KEY_OF)})\b")
 
 # key -> (RunConfig field, caster); also fixes the canonical serialization order.
 _SCHEMA: dict[str, tuple[str, object]] = {
-    "alpha": ("alpha", _float),
-    "lambda": ("lam", _float),
-    "gamma": ("gamma", _float),
-    "delta": ("delta", _float),
-    "lo_frac": ("lo_frac", _float),
-    "hi_frac": ("hi_frac", _float),
+    "alpha": ("alpha", float),
+    "lambda": ("lam", float),
+    "gamma": ("gamma", float),
+    "delta": ("delta", float),
+    "lo_frac": ("lo_frac", float),
+    "hi_frac": ("hi_frac", float),
     "mu": ("mu", _float_or_schedule),
     "sigma": ("sigma", _float_or_schedule),
-    "atom_file": ("atom_file", _str),
-    "rate_model": ("rate_model", _str),
-    "rate": ("rate", _float),
-    "rate_base": ("rate_base", _float),
-    "rate_vol": ("rate_vol", _float),
-    "horizon": ("horizon", _int),
-    "w0": ("w0", _float),
-    "grid_points": ("grid_points", _int),
-    "z_tol": ("z_tol", _float),
-    "y_nodes": ("y_nodes", _int),
-    "r_nodes": ("r_nodes", _int),
-    "cdf_tol": ("cdf_tol", _float),
-    "n_paths": ("n_paths", _int),
-    "seed": ("seed", _int),
-    "out_dir": ("out_dir", _str),
+    "atom_file": ("atom_file", str),
+    "rate_model": ("rate_model", str),
+    "rate": ("rate", float),
+    "rate_base": ("rate_base", float),
+    "rate_vol": ("rate_vol", float),
+    "horizon": ("horizon", int),
+    "w0": ("w0", float),
+    "grid_points": ("grid_points", int),
+    "z_tol": ("z_tol", float),
+    "y_nodes": ("y_nodes", int),
+    "r_nodes": ("r_nodes", int),
+    "cdf_tol": ("cdf_tol", float),
+    "n_paths": ("n_paths", int),
+    "seed": ("seed", int),
+    "out_dir": ("out_dir", str),
 }
 
 
@@ -240,9 +231,7 @@ def parse_config(text: str) -> RunConfig:
             kwargs[field_name] = cast(val)
         except ValueError as exc:
             raise ConfigError(f"invalid value for {key}: {exc}") from exc
-    cfg = RunConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return RunConfig(**kwargs)
 
 
 def load_config(path) -> RunConfig:
@@ -280,13 +269,20 @@ def config_hash(cfg: RunConfig) -> str:
 
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
     out = Path(override) if override else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return out
 
 
@@ -313,15 +309,20 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def run_solve(cfg: RunConfig, out_dir: str | None = None) -> Path:
-    """Solve the policy and write policy.csv with a provenance header."""
-    table = _solve_table(cfg)
+def _write_policy(cfg: RunConfig, table: PolicyTable, out: Path) -> Path:
+    """Write policy.csv under a provenance header naming the config hash."""
     buf = io.StringIO()
     buf.write(f"# config_sha256 = {config_hash(cfg)}\n")
     table.to_csv(buf)
-    target = _out_dir(cfg, out_dir) / "policy.csv"
+    target = out / "policy.csv"
     _write_atomic(target, buf.getvalue())
     return target
+
+
+def run_solve(cfg: RunConfig, out_dir: str | None = None) -> Path:
+    """Solve the policy and write policy.csv with a provenance header."""
+    table = _solve_table(cfg)
+    return _write_policy(cfg, table, _out_dir(cfg, out_dir))
 
 
 def run_simulate(cfg: RunConfig, out_dir: str | None = None) -> list[Path]:
@@ -331,13 +332,7 @@ def run_simulate(cfg: RunConfig, out_dir: str | None = None) -> list[Path]:
         table, cfg.rate_model_obj(), cfg.y_schedule(), cfg.w0, cfg.n_paths, cfg.seed
     )
     out = _out_dir(cfg, out_dir)
-    written = []
-
-    buf = io.StringIO()
-    buf.write(f"# config_sha256 = {config_hash(cfg)}\n")
-    table.to_csv(buf)
-    _write_atomic(out / "policy.csv", buf.getvalue())
-    written.append(out / "policy.csv")
+    written = [_write_policy(cfg, table, out)]
 
     buf = io.StringIO()
     paths_to_csv(paths, buf)
@@ -356,15 +351,12 @@ def _sweep_variant(cfg: RunConfig, param: str, value) -> RunConfig:
         if value not in RATE_MODES:
             raise ConfigError(f"rate-mode grid values must be one of {RATE_MODES}, got {value!r}")
         rate = cfg.rate if cfg.rate is not None else cfg.rate_base
-        variant = dataclasses.replace(cfg, rate_model=value, rate=rate)
-    else:
-        field_name = _SCHEMA[param][0]
-        try:
-            variant = dataclasses.replace(cfg, **{field_name: float(value)})
-        except ValueError as exc:
-            raise ConfigError(f"invalid {param} grid value {value!r}: {exc}") from exc
-    variant.validate()
-    return variant
+        return dataclasses.replace(cfg, rate_model=value, rate=rate)
+    try:
+        value = float(value)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {param} grid value {value!r}: {exc}") from exc
+    return dataclasses.replace(cfg, **{_SCHEMA[param][0]: value})
 
 
 def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None) -> Path:
@@ -395,7 +387,11 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
 
 def run_value(cfg: RunConfig, amount: float) -> CptValue:
     """Prospect value of holding `amount` dollars of the configured return."""
-    return cpt_scaled_position(cfg.preferences(), cfg.y_distribution(), amount, cfg.cdf_tol)
+    y = cfg.y_distribution()
+    try:
+        return cpt_scaled_position(cfg.preferences(), y, amount, cfg.cdf_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_demo(
@@ -409,11 +405,12 @@ def run_demo(
     y = cfg.y_distribution()
     if not isinstance(y, DiscreteEmpirical):
         raise ConfigError("demo requires a finite return distribution (set atom_file)")
-    if grid_points < 3:
-        raise ConfigError(f"demo grid must have at least 3 points, got {grid_points}")
-    report = inconsistency_demo(
-        cfg.preferences(), cfg.constraints(), y, r_low, r_high, grid_points
-    )
+    try:
+        report = inconsistency_demo(
+            cfg.preferences(), cfg.constraints(), y, r_low, r_high, grid_points
+        )
+    except ValueError as exc:
+        raise ConfigError(f"demo: {exc}") from exc
     target = _out_dir(cfg, out_dir) / "demo_report.txt"
     _write_atomic(target, report.to_text())
     return target
@@ -463,7 +460,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         if getattr(args, "seed", None) is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-            cfg.validate()
 
         if args.command == "solve":
             print(run_solve(cfg, args.out))

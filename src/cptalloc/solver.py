@@ -22,13 +22,13 @@ node set across all z, keeping the objective smooth in z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .choquet import cpt_cdf, cpt_discrete
-from .dist import DiscreteEmpirical, Distribution, RateModel, as_schedule
+from .choquet import cpt_scaled_position
+from .dist import Distribution, RateModel, as_schedule
 from .errors import NumericalError
 from .prefs import CptPreferences
 
@@ -122,18 +122,19 @@ class SolverSettings:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
         if not self.z_tol > 0.0:
             raise ValueError(f"z_tol must be > 0, got {self.z_tol}")
-        if self.y_nodes < 1 or self.r_nodes < 1:
-            raise ValueError("node counts must be >= 1")
+        if self.y_nodes < 1:
+            raise ValueError(f"y_nodes must be >= 1, got {self.y_nodes}")
+        if self.r_nodes < 1:
+            raise ValueError(f"r_nodes must be >= 1, got {self.r_nodes}")
         if not self.cdf_tol > 0.0:
             raise ValueError(f"cdf_tol must be > 0, got {self.cdf_tol}")
 
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """Coefficients for periods 0..T-1 plus the inputs that produced them."""
+    """Coefficients for periods 0..T-1."""
 
     rows: tuple[PolicyCoefficients, ...]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -163,13 +164,10 @@ def terminal_stats(
     prefs: CptPreferences, y_dist: Distribution, tol: float = 1e-9
 ) -> TerminalStats:
     """Prospect values of the unit long and unit short terminal positions."""
-    if isinstance(y_dist, DiscreteEmpirical):
-        long_v = cpt_discrete(prefs, y_dist).value
-        short_v = cpt_discrete(prefs, y_dist.negate()).value
-    else:
-        long_v = cpt_cdf(prefs, y_dist, tol).value
-        short_v = cpt_cdf(prefs, y_dist.negate(), tol).value
-    return TerminalStats(long_v, short_v)
+    return TerminalStats(
+        cpt_scaled_position(prefs, y_dist, 1.0, tol).value,
+        cpt_scaled_position(prefs, y_dist, -1.0, tol).value,
+    )
 
 
 def _pick_corner(candidates: list[tuple[float, float]]) -> tuple[float, float]:
@@ -221,7 +219,10 @@ def _grid_then_golden(
     """
     zs = np.linspace(lo, hi, settings.grid_points)
     vals = f_batch(zs)
-    near = np.nonzero(vals >= vals.max() - settings.z_tol)[0]
+    top = vals.max()
+    if not np.isfinite(top):
+        raise NumericalError(f"objective maximum is not finite ({top}): values overflow float64")
+    near = np.nonzero(vals >= top - settings.z_tol)[0]
     i = near[np.lexsort((zs[near], np.abs(zs[near])))[0]]
     z_best, v_best = float(zs[i]), float(vals[i])
 
@@ -294,12 +295,15 @@ def recursion_step(
     def l_batch(zs: np.ndarray) -> np.ndarray:
         return mix_batch(zs, -b_next, a_next)
 
-    k_star, a_coef = _grid_then_golden(
-        g_batch, constraints.lo_frac, constraints.hi_frac, settings
-    )
-    k_hat_star, l_max = _grid_then_golden(
-        l_batch, -constraints.hi_frac, -constraints.lo_frac, settings
-    )
+    # Overflowing powers become inf or nan; _grid_then_golden turns a non-finite
+    # maximum into a NumericalError, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_star, a_coef = _grid_then_golden(
+            g_batch, constraints.lo_frac, constraints.hi_frac, settings
+        )
+        k_hat_star, l_max = _grid_then_golden(
+            l_batch, -constraints.hi_frac, -constraints.lo_frac, settings
+        )
     return PolicyCoefficients(t, a_coef, -l_max + 0.0, k_star, k_hat_star)
 
 
@@ -337,15 +341,7 @@ def backward_induction(
         except NumericalError as exc:
             raise NumericalError(f"period {t}: {exc}") from exc
 
-    meta = {
-        "prefs": repr(prefs),
-        "constraints": repr(constraints),
-        "rate_model": repr(rate_model),
-        "y_dist": repr(y_dist),
-        "settings": repr(settings),
-        "horizon": str(horizon),
-    }
-    return PolicyTable(tuple(reversed(rows)), meta)
+    return PolicyTable(tuple(reversed(rows)))
 
 
 def optimal_trade(row: PolicyCoefficients, wealth: float) -> float:

@@ -6,10 +6,8 @@ from cptalloc import (
     CptPreferences,
     CptValue,
     DiscreteEmpirical,
-    DistortionParams,
     Normal,
     NumericalError,
-    ValueParams,
     cpt_cdf,
     cpt_discrete,
     cpt_scaled_position,
@@ -123,13 +121,6 @@ class TestQuadratureRoute:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             cpt_cdf(TK, COIN, 0.0)
-
-    def test_illposed_defense(self):
-        bad = object.__new__(CptPreferences)
-        object.__setattr__(bad, "value", ValueParams(0.88, 2.2))
-        object.__setattr__(bad, "distortion", DistortionParams(0.3, 0.3))
-        with pytest.raises(NumericalError, match="ill-posed"):
-            cpt_cdf(bad, COIN, 1e-9)
 
     def test_reports_non_convergence(self):
         class PathologicalCdf:

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -312,3 +314,102 @@ class TestWorkerCount:
         monkeypatch.setenv("CPT_ALLOC_THREADS", "many")
         with pytest.raises(ConfigError):
             cli.worker_count()
+
+
+# One bad config per parameter rule. Each must end in exit 1 and a single
+# stderr line that names the offending key as the user wrote it.
+BAD_CONFIGS = [
+    *((f"{key} = inf", key) for key in (
+        "alpha", "lambda", "gamma", "delta", "lo_frac", "hi_frac", "mu", "sigma",
+        "rate", "rate_base", "rate_vol", "w0", "z_tol", "cdf_tol")),
+    ("horizon = 2\nmu = 0.1,nan", "mu"),
+    ("alpha = 0", "alpha"),
+    ("alpha = 1.5", "alpha"),
+    ("lambda = 0.5", "lambda"),
+    ("gamma = 1.0", "gamma"),
+    ("alpha = 0.5\ndelta = 0.28", "delta"),
+    ("alpha = 0.9\ngamma = 0.43\ndelta = 0.95", "alpha"),
+    ("lo_frac = 0.5", "lo_frac"),
+    ("hi_frac = 0", "hi_frac"),
+    ("horizon = 3\nmu = 0.1,0.2", "mu"),
+    ("horizon = 3\nsigma = 0.5,0.6", "sigma"),
+    ("sigma = 0", "sigma"),
+    ("horizon = 2\nsigma = 0.5,-1", "sigma"),
+    ("atom_file = atoms.csv\nsigma = -1", "sigma"),
+    ("rate_model = vasicek", "rate_model"),
+    ("rate_model = fixed", "rate"),
+    ("rate_model = fixed\nrate = -2", "rate"),
+    ("rate = -2", "rate"),
+    ("rate_base = -2", "rate_base"),
+    ("rate_vol = -1", "rate_vol"),
+    ("rate_model = fixed\nrate = 0.03\nrate_base = -2", "rate_base"),
+    ("rate_model = fixed\nrate = 0.03\nrate_vol = -1", "rate_vol"),
+    ("horizon = 0", "horizon"),
+    ("grid_points = 1", "grid_points"),
+    ("z_tol = 0", "z_tol"),
+    ("y_nodes = 0", "y_nodes"),
+    ("r_nodes = 0", "r_nodes"),
+    ("cdf_tol = 0", "cdf_tol"),
+    ("n_paths = 0", "n_paths"),
+    ("seed = -1", "seed"),
+    ("out_dir =", "out_dir"),
+]
+
+
+def assert_one_line(err: str, prefix: str) -> None:
+    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text, key", BAD_CONFIGS)
+def test_bad_config_is_one_line_exit_1(tmp_path, capsys, text, key):
+    write_atoms(tmp_path)
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text + "\n")
+    assert cli.main(["solve", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert_one_line(err, "config error: ")
+    assert re.search(rf"\b{key}\b", err), err
+
+
+@pytest.fixture
+def probe_dir(tmp_path, monkeypatch):
+    """A working directory holding the inputs of the error-contract probes."""
+    monkeypatch.chdir(tmp_path)
+    atoms = np.linspace(-1.0, 1.0, 21)
+    rows = "".join(f"{float(v)!r},{1.0 / 21!r}\n" for v in atoms)
+    (tmp_path / "atoms21.csv").write_text("value,probability\n" + rows)
+    (tmp_path / "atoms21.cfg").write_text(
+        "atom_file = atoms21.csv\nhorizon = 2\nrate_model = fixed\nrate = 0.0\n"
+    )
+    (tmp_path / "short.cfg").write_text("horizon = 1\n")
+    (tmp_path / "overflow.cfg").write_text("mu = 1e300\nhorizon = 2\n")
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "blocked" / "policy.csv").mkdir(parents=True)
+    return tmp_path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["value", "--amount", "inf"], 1),
+        (["value", "--amount", "nan"], 1),
+        (["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--r-low", "-2"], 1),
+        (["demo", "--config", "atoms21.cfg"], 1),
+        (["solve", "--config", "short.cfg", "--out", "a_file/x"], 1),
+        (["solve", "--config", "short.cfg", "--out", "blocked"], 1),
+        (["solve", "--config", "overflow.cfg"], 2),
+    ],
+    ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
+         "write_fails", "overflow"],
+)
+def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
+    assert cli.main(argv) == code
+    prefix = "config error: " if code == 1 else "numerical failure: "
+    assert_one_line(capsys.readouterr().err, prefix)
+    assert not list(probe_dir.rglob("*.tmp"))
+
+
+def test_replace_revalidates():
+    with pytest.raises(ConfigError, match="alpha"):
+        dataclasses.replace(RunConfig(), alpha=2.0)
