@@ -24,6 +24,7 @@ from .simulate import (
     BenchmarkReport,
     DemoReport,
     EnsembleSummary,
+    PathEnsemble,
     WealthPath,
     benchmarked_wealth,
     compound_factor,
@@ -62,6 +63,7 @@ __all__ = [
     "GaussianSqrtTRate",
     "Normal",
     "NumericalError",
+    "PathEnsemble",
     "PolicyCoefficients",
     "PolicyTable",
     "RateModel",

@@ -50,6 +50,9 @@ __all__ = [
 
 SWEEP_PARAMS = ("alpha", "mu", "sigma", "delta", "rate-mode")
 RATE_MODES = ("fixed", "sqrt_t")
+# Bounds the simulated ensemble (and paths.csv, ~75 bytes per step) before
+# anything is solved or allocated: 20 times the default 10000 paths x 10 periods.
+MAX_PATH_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,10 @@ class RunConfig:
             # Domain messages use the domain's parameter names; report the keys.
             raise ConfigError(_DOMAIN_NAME.sub(lambda m: _KEY_OF[m[0]], str(exc))) from exc
         _require(self.n_paths >= 1, "n_paths must be >= 1")
+        _require(
+            self.n_paths * self.horizon <= MAX_PATH_STEPS,
+            f"n_paths * horizon must be <= {MAX_PATH_STEPS}, got {self.n_paths * self.horizon}",
+        )
         _require(self.seed >= 0, "seed must be >= 0")
         _require(bool(self.out_dir), "out_dir must be non-empty")
 
@@ -410,7 +417,7 @@ def run_demo(
             cfg.preferences(), cfg.constraints(), y, r_low, r_high, grid_points
         )
     except ValueError as exc:
-        raise ConfigError(f"demo: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     target = _out_dir(cfg, out_dir) / "demo_report.txt"
     _write_atomic(target, report.to_text())
     return target

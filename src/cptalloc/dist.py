@@ -40,6 +40,15 @@ def _check_finite_scalar(x, name: str) -> float:
     return xf
 
 
+def _check_periods(t, size) -> np.ndarray:
+    tv = np.asarray(t)
+    if (tv < 0).any():
+        raise ValueError("period index must be >= 0")
+    if tv.ndim and size is not None:
+        raise ValueError("size applies to a single period, not an array of periods")
+    return tv
+
+
 @dataclass(frozen=True)
 class Normal:
     """Normal distribution with mean mu and standard deviation sigma > 0."""
@@ -64,7 +73,8 @@ class Normal:
         pv = np.asarray(p, dtype=float)
         if not (np.all(pv > 0.0) and np.all(pv < 1.0)):
             raise ValueError("quantile: p must lie in (0, 1)")
-        out = self.mu + self.sigma * ndtri(pv)
+        with np.errstate(over="ignore"):  # an infinite quantile is the caller's to reject
+            out = self.mu + self.sigma * ndtri(pv)
         return float(out) if np.isscalar(p) or pv.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -224,9 +234,11 @@ class DeterministicRate:
         if not self.r > -1.0:
             raise ValueError(f"rate must be > -1, got {self.r}")
 
-    def sample(self, t: int, rng: np.random.Generator, size=None):
-        if t < 0:
-            raise ValueError("period index must be >= 0")
+    def sample(self, t, rng: np.random.Generator, size=None):
+        """The rate of period t, or one rate per entry of an array of periods."""
+        tv = _check_periods(t, size)
+        if tv.ndim:
+            return np.full(tv.shape, self.r)
         return self.r if size is None else np.full(size, self.r)
 
     def nodes(self, t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +266,21 @@ class GaussianSqrtTRate:
         if not self.vol >= 0.0:
             raise ValueError(f"vol must be >= 0, got {self.vol}")
 
-    def sample(self, t: int, rng: np.random.Generator, size=None):
-        if t < 0:
-            raise ValueError("period index must be >= 0")
-        scale = self.vol * np.sqrt(t)
+    def sample(self, t, rng: np.random.Generator, size=None):
+        """Draw the rate of period t (size draws of it if size is given).
+
+        An array of periods gives one rate per entry. It draws one normal per
+        period with a non-zero scale, in the array's order, so the stream
+        yields the same rates as one scalar call per period.
+        """
+        tv = _check_periods(t, size)
+        scale = self.vol * np.sqrt(tv)
+        if tv.ndim:
+            out = np.full(tv.shape, self.base)
+            live = scale != 0.0
+            draw = self.base + scale[live] * rng.standard_normal(np.count_nonzero(live))
+            out[live] = np.maximum(draw, MIN_RATE)
+            return out
         if scale == 0.0:
             return self.base if size is None else np.full(size, self.base)
         draw = self.base + scale * rng.standard_normal(size)

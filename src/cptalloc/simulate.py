@@ -18,13 +18,13 @@ from .prefs import CptPreferences
 from .solver import (
     Constraints,
     PolicyTable,
-    optimal_trade,
     terminal_coefficients,
     terminal_stats,
 )
 
 __all__ = [
     "WealthPath",
+    "PathEnsemble",
     "BenchmarkReport",
     "EnsembleSummary",
     "DemoCase",
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _QUANTS = (0.05, 0.25, 0.50, 0.75, 0.95)
+# The demo scores grid**2 fraction pairs per rate, one exact CPT value each.
+MAX_DEMO_GRID = 201
 
 
 def step_wealth(wealth: float, trade: float, rate: float, excess: float) -> float:
@@ -142,6 +144,51 @@ class EnsembleSummary:
     fraction_mean: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class PathEnsemble:
+    """n simulated paths stored as read-only arrays, one row per path.
+
+    wealth is (n, T+1); trades, rates and excess_returns are (n, T), with the
+    same per-period meaning as in WealthPath. ens[i] is path i as a WealthPath
+    over row views, and iterating yields the paths in order.
+    """
+
+    wealth: np.ndarray
+    trades: np.ndarray
+    rates: np.ndarray
+    excess_returns: np.ndarray
+    seed: int
+
+    def __post_init__(self) -> None:
+        n, T = self.trades.shape
+        if not (n and T and self.wealth.shape == (n, T + 1)
+                and self.rates.shape == self.excess_returns.shape == (n, T)):
+            raise ValueError("need (n, T+1) wealth and (n, T) trades, rates, excess_returns, n, T >= 1")
+        for name in ("wealth", "trades", "rates", "excess_returns"):
+            arr = getattr(self, name)
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                t = int(bad.any(axis=0).argmax())
+                raise NumericalError(f"simulated {name} is not finite at period {t}")
+            arr.flags.writeable = False
+        if not np.all(self.rates > -1.0):
+            raise NumericalError("simulated rates must be > -1")
+
+    def __len__(self) -> int:
+        return self.wealth.shape[0]
+
+    def __getitem__(self, i: int) -> WealthPath:
+        i = range(len(self))[i]
+        return WealthPath(
+            self.wealth[i], self.trades[i], self.rates[i], self.excess_returns[i],
+            seed=f"{self.seed}/{i}",
+        )
+
+    @property
+    def horizon(self) -> int:
+        return self.trades.shape[1]
+
+
 def simulate_paths(
     policy: PolicyTable,
     rate_model: RateModel,
@@ -149,13 +196,14 @@ def simulate_paths(
     w0: float,
     n_paths: int,
     seed: int,
-) -> tuple[list[WealthPath], EnsembleSummary]:
+) -> tuple[PathEnsemble, EnsembleSummary]:
     """Simulate n_paths trajectories under the policy, one RNG stream each.
 
     ``y_dist`` is a single distribution or a per-period schedule. Within a
     path, the per-period rates are drawn first (t ascending), then one excess
     return per period (t ascending); this order is part of the
-    reproducibility contract.
+    reproducibility contract. A stationary schedule draws a path's returns in
+    one call, which yields the same numbers as one call per period.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -163,43 +211,51 @@ def simulate_paths(
         raise ValueError(f"w0 must be finite, got {w0!r}")
     T = policy.horizon
     schedule = as_schedule(y_dist, T)
-    streams = np.random.SeedSequence(seed).spawn(n_paths)
+    stationary = all(d is schedule[0] for d in schedule)
+    periods = np.arange(T)
 
-    paths: list[WealthPath] = []
-    for i, stream in enumerate(streams):
+    rates = np.empty((n_paths, T))
+    ys = np.empty((n_paths, T))
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
         rng = np.random.default_rng(stream)
-        rates = np.array([rate_model.sample(t, rng) for t in range(T)], dtype=float)
-        ys = np.array([schedule[t].sample(rng) for t in range(T)], dtype=float)
-        wealth = np.empty(T + 1)
-        trades = np.empty(T)
-        wealth[0] = w0
-        for t in range(T):
-            trades[t] = optimal_trade(policy.row(t), wealth[t])
-            wealth[t + 1] = step_wealth(wealth[t], trades[t], rates[t], ys[t])
-        paths.append(WealthPath(wealth, trades, rates, ys, seed=f"{seed}/{i}"))
+        rates[i] = rate_model.sample(periods, rng)
+        ys[i] = schedule[0].sample(rng, T) if stationary else [d.sample(rng) for d in schedule]
 
-    wealth_mat = np.array([p.wealth for p in paths])
-    trades_mat = np.array([p.trades for p in paths])
+    # The same IEEE operations as optimal_trade and step_wealth, on all paths.
+    k_star = [row.k_star for row in policy.rows]
+    k_hat_star = [row.k_hat_star for row in policy.rows]
+    wealth = np.empty((n_paths, T + 1))
+    trades = np.empty((n_paths, T))
+    wealth[:, 0] = w0
+    with np.errstate(over="ignore", invalid="ignore"):  # PathEnsemble rejects the result
+        for t in range(T):
+            w = wealth[:, t]
+            trades[:, t] = np.where(w >= 0.0, k_star[t], k_hat_star[t]) * w
+            wealth[:, t + 1] = (1.0 + rates[:, t]) * w + trades[:, t] * ys[:, t]
+    ens = PathEnsemble(wealth, trades, rates, ys, seed)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(wealth_mat[:, :-1] != 0.0, trades_mat / wealth_mat[:, :-1], 0.0)
+        frac = np.where(wealth[:, :-1] != 0.0, trades / wealth[:, :-1], 0.0)
     summary = EnsembleSummary(
-        wealth_mean=wealth_mat.mean(axis=0),
-        wealth_quantiles={q: np.quantile(wealth_mat, q, axis=0) for q in _QUANTS},
+        wealth_mean=wealth.mean(axis=0),
+        wealth_quantiles={q: np.quantile(wealth, q, axis=0) for q in _QUANTS},
         fraction_mean=frac.mean(axis=0),
     )
-    return paths, summary
+    return ens, summary
 
 
-def paths_to_csv(paths: list[WealthPath], fh) -> None:
+def paths_to_csv(paths: PathEnsemble, fh) -> None:
     """Emit one row per (path, period) plus a terminal-wealth row per path."""
+    T = paths.horizon
+    # One template per path; its fields run W_0, v_0, r_0, y_0, W_1, ..., W_T.
+    row = "{{0}},{t},{{{f}:.17g}},{{{g}:.17g}},{{{h}:.17g}},{{{k}:.17g}}\n"
+    template = "".join(row.format(t=t, f=4 * t + 1, g=4 * t + 2, h=4 * t + 3, k=4 * t + 4)
+                       for t in range(T))
+    template += f"{{0}},{T},{{{4 * T + 1}:.17g}},,,\n"
+    per_period = np.stack((paths.wealth[:, :-1], paths.trades, paths.rates, paths.excess_returns), axis=2)
+    fields = np.concatenate((per_period.reshape(len(paths), 4 * T), paths.wealth[:, -1:]), axis=1)
     fh.write("path,t,W,v,r,y\n")
-    for i, p in enumerate(paths):
-        for t in range(p.horizon):
-            fh.write(
-                f"{i},{t},{p.wealth[t]:.17g},{p.trades[t]:.17g},"
-                f"{p.rates[t]:.17g},{p.excess_returns[t]:.17g}\n"
-            )
-        fh.write(f"{i},{p.horizon},{p.wealth[p.horizon]:.17g},,,\n")
+    fh.write("".join(template.format(i, *vals) for i, vals in enumerate(fields.tolist())))
 
 
 def summary_to_csv(summary: EnsembleSummary, fh) -> None:
@@ -277,8 +333,8 @@ def inconsistency_demo(
     z1 is constrained to the fraction interval that stays admissible for
     either wealth sign, since one deterministic coefficient must serve both.
     """
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
+    if not 3 <= grid_points <= MAX_DEMO_GRID:
+        raise ValueError(f"demo grid must lie in [3, {MAX_DEMO_GRID}], got {grid_points}")
     if discrete_y.values.size > 20:
         raise ValueError("demo supports at most 20 atoms")
     for r in (r_low, r_high):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 from pathlib import Path
 
@@ -304,6 +305,24 @@ class TestMainExitCodes:
         paths_lines = (tmp_path / "out" / "paths.csv").read_text().strip().splitlines()
         assert len(paths_lines) == 1 + 8 * 4
 
+    def test_simulate_artifacts_are_pinned(self, tmp_path):
+        # The active 0.5/-0.2 atom fixture (k_star = 5 each period) at 50
+        # paths; any change to the draws, the stepping or the formatting
+        # moves these digests.
+        (tmp_path / "atoms.csv").write_text("value,probability\n0.5,0.6\n-0.2,0.4\n")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("atom_file = atoms.csv\nhorizon = 5\nn_paths = 50\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_file), "--out", str(out), "--seed", "42"]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("paths.csv", "summary.csv")
+        }
+        assert digests == {
+            "paths.csv": "c5fcf07ce1c32ea2d45c5817f59e92829a2580cceeed2fe7eafe0ca0d4e8e568",
+            "summary.csv": "5fca70bc98193063bf4f5a01a950134ff39d63acc09e604d4cd2fbaa21bc6a81",
+        }
+
 
 class TestWorkerCount:
     def test_env_cap(self, monkeypatch):
@@ -383,6 +402,11 @@ def probe_dir(tmp_path, monkeypatch):
     )
     (tmp_path / "short.cfg").write_text("horizon = 1\n")
     (tmp_path / "overflow.cfg").write_text("mu = 1e300\nhorizon = 2\n")
+    (tmp_path / "quantile_overflow.cfg").write_text("mu = 1e308\nsigma = 1e308\nhorizon = 2\n")
+    (tmp_path / "rich.cfg").write_text(
+        "mu = 0.3\nsigma = 0.5\nhorizon = 3\nn_paths = 5\nw0 = 1e308\ngrid_points = 101\n"
+    )
+    (tmp_path / "many_paths.cfg").write_text("n_paths = 100000000\nhorizon = 2\n")
     (tmp_path / "a_file").write_text("")
     (tmp_path / "blocked" / "policy.csv").mkdir(parents=True)
     return tmp_path
@@ -399,15 +423,24 @@ def probe_dir(tmp_path, monkeypatch):
         (["solve", "--config", "short.cfg", "--out", "a_file/x"], 1),
         (["solve", "--config", "short.cfg", "--out", "blocked"], 1),
         (["solve", "--config", "overflow.cfg"], 2),
+        (["solve", "--config", "quantile_overflow.cfg"], 2),
+        (["simulate", "--config", "rich.cfg"], 2),
+        (["simulate", "--config", "many_paths.cfg"], 1),
+        (["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "2"], 1),
+        (["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "100000000"], 1),
     ],
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
-         "write_fails", "overflow"],
+         "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
+         "demo_grid_small", "demo_grid_large"],
 )
 def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
     assert cli.main(argv) == code
     prefix = "config error: " if code == 1 else "numerical failure: "
-    assert_one_line(capsys.readouterr().err, prefix)
+    err = capsys.readouterr().err
+    assert_one_line(err, prefix)
     assert not list(probe_dir.rglob("*.tmp"))
+    if "--demo-grid" in argv:
+        assert "demo grid" in err and "grid_points" not in err, err
 
 
 def test_replace_revalidates():

@@ -189,6 +189,15 @@ class TestRateModels:
     def test_rejects_negative_period(self):
         with pytest.raises(ValueError):
             GaussianSqrtTRate(0.03, 0.003).sample(-1, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            GaussianSqrtTRate(0.03, 0.003).sample(np.array([0, -1]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("model", [GaussianSqrtTRate(0.03, 0.02), DeterministicRate(0.03)])
+    def test_period_array_equals_scalar_calls(self, model):
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        want = [model.sample(t, a) for t in range(6)]
+        np.testing.assert_array_equal(model.sample(np.arange(6), b), want)
+        assert a.random() == b.random()  # both consumed the same draws
 
     def test_rejects_negative_vol(self):
         with pytest.raises(ValueError):

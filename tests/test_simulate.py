@@ -10,12 +10,16 @@ from cptalloc import (
     DiscreteEmpirical,
     GaussianSqrtTRate,
     Normal,
+    PolicyCoefficients,
+    PolicyTable,
     SolverSettings,
     WealthPath,
+    as_schedule,
     backward_induction,
     benchmarked_wealth,
     compound_factor,
     inconsistency_demo,
+    optimal_trade,
     simulate_paths,
     step_wealth,
     terminal_coefficients,
@@ -171,6 +175,15 @@ class TestSimulatePaths:
         assert summary.wealth_mean.shape == (7,)
         assert summary.fraction_mean.shape == (6,)
 
+    def test_ensemble_rows_are_read_only_paths(self, flat_policy):
+        ens, _ = simulate_paths(flat_policy, DeterministicRate(0.03), SKEWED, 0.8, 3, seed=1)
+        assert len(ens) == 3 and ens[-1].seed == "1/2"
+        np.testing.assert_array_equal(ens[2].wealth, ens.wealth[2])
+        with pytest.raises(ValueError):
+            ens.wealth[0, 0] = 1.0
+        with pytest.raises(IndexError):
+            ens[3]
+
     def test_rejects_bad_args(self, flat_policy):
         with pytest.raises(ValueError):
             simulate_paths(flat_policy, DeterministicRate(0.03), SKEWED, 0.8, 0, seed=1)
@@ -186,6 +199,53 @@ class TestSimulatePaths:
         paths, _ = simulate_paths(table, DeterministicRate(0.03), [y0, y1], 1.0, 2, seed=4)
         for p in paths:
             np.testing.assert_array_equal(p.excess_returns, [0.1, 0.2])
+
+
+# Trades on both wealth signs (k_star = 5, k_hat_star = -2), so paths that
+# fall below zero take the other branch.
+CROSSING = PolicyTable(tuple(PolicyCoefficients(t, 1.0, -1.0, 5.0, -2.0) for t in range(4)))
+MIXED = [
+    Normal(0.1, 0.4),
+    DiscreteEmpirical([0.5, -0.3], [0.6, 0.4]),
+    Normal(-0.05, 0.2),
+    DiscreteEmpirical([0.2, -0.1, 0.05], [0.2, 0.3, 0.5]),
+]
+
+
+def reference_ensemble(policy, rate_model, y_dist, w0, n_paths, seed):
+    """The per-path, per-period scalar loop that fixes the draw order: per
+    path, its own spawned stream; rates first, then returns, t ascending."""
+    T = policy.horizon
+    schedule = as_schedule(y_dist, T)
+    paths = []
+    for stream in np.random.SeedSequence(seed).spawn(n_paths):
+        rng = np.random.default_rng(stream)
+        rates = [rate_model.sample(t, rng) for t in range(T)]
+        ys = [schedule[t].sample(rng) for t in range(T)]
+        wealth, trades = [w0], []
+        for t in range(T):
+            trades.append(optimal_trade(policy.row(t), wealth[t]))
+            wealth.append(step_wealth(wealth[t], trades[t], rates[t], ys[t]))
+        paths.append((wealth, trades, rates, ys))
+    return [np.array(col, dtype=float) for col in zip(*paths)]
+
+
+@pytest.mark.parametrize(
+    "rate_model, y_dist",
+    [
+        (GaussianSqrtTRate(0.03, 0.02), Normal(0.05, 0.4)),
+        (DeterministicRate(0.03), DiscreteEmpirical([0.5, -0.3], [0.6, 0.4])),
+        (GaussianSqrtTRate(0.03, 0.0), MIXED),
+        (GaussianSqrtTRate(0.03, 0.02), MIXED),
+    ],
+    ids=["normal_sqrt_t", "atoms_fixed", "mixed_vol_0", "mixed_vol"],
+)
+def test_ensemble_matches_scalar_reference(rate_model, y_dist):
+    want = reference_ensemble(CROSSING, rate_model, y_dist, 0.8, 25, seed=2024)
+    assert np.any(want[0] < 0.0) and np.any(want[0] > 0.0)  # both branches bind
+    paths, _ = simulate_paths(CROSSING, rate_model, y_dist, 0.8, 25, seed=2024)
+    for name, ref in zip(("wealth", "trades", "rates", "excess_returns"), want):
+        np.testing.assert_array_equal(np.array([getattr(p, name) for p in paths]), ref)
 
 
 class TestCsvEmission:
