@@ -19,15 +19,13 @@ from .dist import (
     discretize,
 )
 from .errors import ConfigError, CptAllocError, NumericalError
-from .prefs import CptPreferences, DistortionParams, ValueParams, distort, value
+from .prefs import CptPreferences, distort, value
 from .simulate import (
     BenchmarkReport,
     DemoReport,
     EnsembleSummary,
     PathEnsemble,
-    WealthPath,
     benchmarked_wealth,
-    compound_factor,
     inconsistency_demo,
     simulate_paths,
     step_wealth,
@@ -57,7 +55,6 @@ __all__ = [
     "DemoReport",
     "DeterministicRate",
     "DiscreteEmpirical",
-    "DistortionParams",
     "Distribution",
     "EnsembleSummary",
     "GaussianSqrtTRate",
@@ -70,12 +67,9 @@ __all__ = [
     "RunConfig",
     "SolverSettings",
     "TerminalStats",
-    "ValueParams",
-    "WealthPath",
     "as_schedule",
     "backward_induction",
     "benchmarked_wealth",
-    "compound_factor",
     "cpt_cdf",
     "cpt_discrete",
     "cpt_scaled_position",

@@ -124,7 +124,7 @@ class RunConfig:
         _require(bool(self.out_dir), "out_dir must be non-empty")
 
     def preferences(self) -> CptPreferences:
-        return CptPreferences.create(self.alpha, self.lam, self.gamma, self.delta)
+        return CptPreferences(self.alpha, self.lam, self.gamma, self.delta)
 
     def constraints(self) -> Constraints:
         return Constraints(self.lo_frac, self.hi_frac)
@@ -294,14 +294,17 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
 
 
 def _solve_table(cfg: RunConfig) -> PolicyTable:
-    return backward_induction(
-        cfg.preferences(),
-        cfg.constraints(),
-        cfg.rate_model_obj(),
-        cfg.y_schedule(),
-        cfg.horizon,
-        cfg.solver_settings(),
-    )
+    try:
+        return backward_induction(
+            cfg.preferences(),
+            cfg.constraints(),
+            cfg.rate_model_obj(),
+            cfg.y_schedule(),
+            cfg.horizon,
+            cfg.solver_settings(),
+        )
+    except ValueError as exc:  # the solver's tensor bound, checked on the actual node counts
+        raise ConfigError(str(exc)) from exc
 
 
 def worker_count() -> int:

@@ -88,7 +88,8 @@ class Normal:
         if n < 1:
             raise ValueError("node count must be >= 1")
         x, w = np.polynomial.hermite.hermgauss(n)
-        nodes = self.mu + self.sigma * np.sqrt(2.0) * x
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite node is the solver's to reject
+            nodes = self.mu + self.sigma * np.sqrt(2.0) * x
         return nodes, w / w.sum()
 
 
@@ -295,7 +296,8 @@ class GaussianSqrtTRate:
         if scale == 0.0:
             return np.array([self.base]), np.array([1.0])
         x, w = np.polynomial.hermite.hermgauss(n)
-        rates = np.maximum(self.base + scale * np.sqrt(2.0) * x, MIN_RATE)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite node is the solver's to reject
+            rates = np.maximum(self.base + scale * np.sqrt(2.0) * x, MIN_RATE)
         return rates, w / w.sum()
 
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ValueParams",
-    "DistortionParams",
     "CptPreferences",
     "value",
     "distort",
@@ -21,74 +19,36 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ValueParams:
-    """Curvature and loss-aversion parameters of the S-shaped value function."""
-
-    alpha: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {self.alpha}")
-        if not self.lam > 1.0:
-            raise ValueError(f"lam must satisfy lam > 1, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class DistortionParams:
-    """Exponents of the gain-side and loss-side probability weighting curves."""
-
-    gamma: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.28 < self.gamma < 1.0:
-            raise ValueError(f"gamma must satisfy 0.28 < gamma < 1, got {self.gamma}")
-        if not 0.28 < self.delta < 1.0:
-            raise ValueError(f"delta must satisfy 0.28 < delta < 1, got {self.delta}")
-
-
-@dataclass(frozen=True)
 class CptPreferences:
-    """Complete CPT preference set: value function plus both distortions.
+    """Complete CPT preference set: the S-shaped value function's curvature
+    alpha and loss aversion lam, and the exponents gamma and delta of the
+    gain-side and loss-side probability weighting curves.
 
     Construction enforces the well-posedness condition alpha < 2*min(gamma,
     delta), without which the gain/loss integrals of the prospect value can
     diverge.
     """
 
-    value: ValueParams
-    distortion: DistortionParams
+    alpha: float
+    lam: float
+    gamma: float
+    delta: float
 
     def __post_init__(self) -> None:
-        a = self.value.alpha
-        bound = 2.0 * min(self.distortion.gamma, self.distortion.delta)
-        if not a < bound:
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {self.alpha}")
+        if not self.lam > 1.0:
+            raise ValueError(f"lam must satisfy lam > 1, got {self.lam}")
+        if not 0.28 < self.gamma < 1.0:
+            raise ValueError(f"gamma must satisfy 0.28 < gamma < 1, got {self.gamma}")
+        if not 0.28 < self.delta < 1.0:
+            raise ValueError(f"delta must satisfy 0.28 < delta < 1, got {self.delta}")
+        bound = 2.0 * min(self.gamma, self.delta)
+        if not self.alpha < bound:
             raise ValueError(
                 f"ill-posed preferences: alpha must satisfy "
-                f"alpha < 2*min(gamma, delta), got alpha={a}, bound={bound}"
+                f"alpha < 2*min(gamma, delta), got alpha={self.alpha}, bound={bound}"
             )
-
-    @classmethod
-    def create(cls, alpha: float, lam: float, gamma: float, delta: float) -> "CptPreferences":
-        """Build preferences from the four scalar parameters."""
-        return cls(ValueParams(alpha, lam), DistortionParams(gamma, delta))
-
-    @property
-    def alpha(self) -> float:
-        return self.value.alpha
-
-    @property
-    def lam(self) -> float:
-        return self.value.lam
-
-    @property
-    def gamma(self) -> float:
-        return self.distortion.gamma
-
-    @property
-    def delta(self) -> float:
-        return self.distortion.delta
 
 
 def value(prefs: CptPreferences, x):
@@ -99,8 +59,8 @@ def value(prefs: CptPreferences, x):
     xv = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xv)):
         raise ValueError("value: x must be finite")
-    a = prefs.value.alpha
-    out = np.maximum(xv, 0.0) ** a - prefs.value.lam * np.maximum(-xv, 0.0) ** a
+    a = prefs.alpha
+    out = np.maximum(xv, 0.0) ** a - prefs.lam * np.maximum(-xv, 0.0) ** a
     return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
 
@@ -118,6 +78,6 @@ def distort(prefs: CptPreferences, side: str, p):
     pv = np.asarray(p, dtype=float)
     if not (np.all(pv >= 0.0) and np.all(pv <= 1.0)):
         raise ValueError("distort: p must lie in [0, 1]")
-    e = prefs.distortion.gamma if side == "gain" else prefs.distortion.delta
+    e = prefs.gamma if side == "gain" else prefs.delta
     out = _weight(pv, e)
     return float(out) if np.isscalar(p) or pv.ndim == 0 else out

@@ -23,14 +23,12 @@ from .solver import (
 )
 
 __all__ = [
-    "WealthPath",
     "PathEnsemble",
     "BenchmarkReport",
     "EnsembleSummary",
     "DemoCase",
     "DemoReport",
     "step_wealth",
-    "compound_factor",
     "benchmarked_wealth",
     "simulate_paths",
     "inconsistency_demo",
@@ -39,125 +37,31 @@ __all__ = [
 ]
 
 _QUANTS = (0.05, 0.25, 0.50, 0.75, 0.95)
+_QCOLS = tuple(f"wealth_q{int(q * 100):02d}" for q in _QUANTS)
 # The demo scores grid**2 fraction pairs per rate, one exact CPT value each.
 MAX_DEMO_GRID = 201
 
 
-def step_wealth(wealth: float, trade: float, rate: float, excess: float) -> float:
-    """One self-financing step: (1+rate)*wealth + trade*excess."""
-    if not rate > -1.0:
+def step_wealth(wealth, trade, rate, excess):
+    """One self-financing step: (1+rate)*wealth + trade*excess, elementwise."""
+    if not np.all(rate > -1.0):
         raise ValueError(f"rate must be > -1, got {rate}")
     return (1.0 + rate) * wealth + trade * excess
-
-
-def compound_factor(rates, t: int, k: int) -> float:
-    """Risk-free growth of 1 dollar from period t to period k (empty = 1)."""
-    if not 0 <= t <= k:
-        raise ValueError(f"need 0 <= t <= k, got t={t}, k={k}")
-    if k > len(rates):
-        raise IndexError(f"rates cover {len(rates)} periods, need {k}")
-    out = 1.0
-    for j in range(t, k):
-        out *= 1.0 + rates[j]
-    return out
-
-
-@dataclass(eq=False)
-class WealthPath:
-    """A complete simulated trajectory.
-
-    wealth holds W_0..W_T; trades, rates hold the per-period amounts and
-    rates; excess_returns[j] is the excess return over period [j, j+1).
-    """
-
-    wealth: np.ndarray
-    trades: np.ndarray
-    rates: np.ndarray
-    excess_returns: np.ndarray
-    seed: str
-
-    def __post_init__(self) -> None:
-        self.wealth = np.asarray(self.wealth, dtype=float)
-        self.trades = np.asarray(self.trades, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.excess_returns = np.asarray(self.excess_returns, dtype=float)
-        n = self.trades.size
-        if n == 0 or self.wealth.size != n + 1:
-            raise ValueError("wealth must hold one more entry than trades")
-        if self.rates.size != n or self.excess_returns.size != n:
-            raise ValueError("trades, rates, excess_returns must have equal length")
-        for arr in (self.wealth, self.trades, self.rates, self.excess_returns):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("path entries must be finite")
-
-    @property
-    def horizon(self) -> int:
-        return self.trades.size
-
-
-@dataclass(frozen=True)
-class BenchmarkReport:
-    """Terminal wealth measured against the two risk-free benchmarks."""
-
-    full_benchmark: float
-    last_period_benchmark: float
-
-
-def benchmarked_wealth(path: WealthPath, t: int) -> BenchmarkReport:
-    """Benchmarked terminal wealth for a path started at period t.
-
-    The full benchmark discounts every trade's excess gain forward at the
-    risk-free rate; the last-period benchmark keeps only the final trade.
-    The full benchmark equals W_T minus the risk-free roll-up of W_t, and
-    both computations are cross-checked before reporting.
-    """
-    T = path.horizon
-    if not 0 <= t <= T - 1:
-        raise ValueError(f"initial time must lie in [0, {T - 1}], got {t}")
-    for j in range(T):
-        expected = step_wealth(
-            path.wealth[j], path.trades[j], path.rates[j], path.excess_returns[j]
-        )
-        if expected != path.wealth[j + 1]:
-            raise ValueError(f"self-financing violated at period {j}")
-
-    full = 0.0
-    for j in range(t, T):
-        full += compound_factor(path.rates, j + 1, T) * path.trades[j] * path.excess_returns[j]
-    rollup = compound_factor(path.rates, t, T) * path.wealth[t]
-    alt = path.wealth[T] - rollup
-    scale = max(1.0, abs(path.wealth[T]), abs(rollup))
-    if abs(full - alt) > 1e-12 * scale:
-        raise NumericalError(
-            f"benchmark identity violated: sum={full!r}, terminal-minus-rollup={alt!r}"
-        )
-    last = path.trades[T - 1] * path.excess_returns[T - 1]
-    return BenchmarkReport(full, last)
-
-
-@dataclass(eq=False)
-class EnsembleSummary:
-    """Per-period wealth statistics and mean realized fractions."""
-
-    wealth_mean: np.ndarray
-    wealth_quantiles: dict
-    fraction_mean: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """n simulated paths stored as read-only arrays, one row per path.
 
-    wealth is (n, T+1); trades, rates and excess_returns are (n, T), with the
-    same per-period meaning as in WealthPath. ens[i] is path i as a WealthPath
-    over row views, and iterating yields the paths in order.
+    wealth (n, T+1) holds W_0..W_T; trades and rates (n, T) hold the
+    per-period amounts and rates; excess_returns[:, j] is the excess return
+    over period [j, j+1). A single path is a one-row ensemble.
     """
 
     wealth: np.ndarray
     trades: np.ndarray
     rates: np.ndarray
     excess_returns: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         n, T = self.trades.shape
@@ -171,22 +75,64 @@ class PathEnsemble:
                 t = int(bad.any(axis=0).argmax())
                 raise NumericalError(f"simulated {name} is not finite at period {t}")
             arr.flags.writeable = False
-        if not np.all(self.rates > -1.0):
-            raise NumericalError("simulated rates must be > -1")
-
-    def __len__(self) -> int:
-        return self.wealth.shape[0]
-
-    def __getitem__(self, i: int) -> WealthPath:
-        i = range(len(self))[i]
-        return WealthPath(
-            self.wealth[i], self.trades[i], self.rates[i], self.excess_returns[i],
-            seed=f"{self.seed}/{i}",
-        )
 
     @property
     def horizon(self) -> int:
         return self.trades.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class BenchmarkReport:
+    """Terminal wealth measured against the two risk-free benchmarks, per path."""
+
+    full_benchmark: np.ndarray
+    last_period_benchmark: np.ndarray
+
+
+def benchmarked_wealth(paths: PathEnsemble, t: int) -> BenchmarkReport:
+    """Benchmarked terminal wealth of every path, each started at period t.
+
+    The full benchmark carries every trade's excess gain forward at the
+    risk-free rate; the last-period benchmark keeps only the final trade.
+    The full benchmark equals W_T minus the risk-free roll-up of W_t, and
+    both computations are cross-checked before reporting.
+    """
+    T = paths.horizon
+    if not 0 <= t <= T - 1:
+        raise ValueError(f"initial time must lie in [0, {T - 1}], got {t}")
+    w, v, r, y = paths.wealth, paths.trades, paths.rates, paths.excess_returns
+    bad = (step_wealth(w[:, :-1], v, r, y) != w[:, 1:]).any(axis=0)
+    if bad.any():
+        raise ValueError(f"self-financing violated at period {int(bad.argmax())}")
+
+    # growth[:, j] is the risk-free growth of 1 dollar from period j to T.
+    growth = np.ones((w.shape[0], T + 1))
+    growth[:, :T] = np.cumprod(1.0 + r[:, ::-1], axis=1)[:, ::-1]
+    gains = growth[:, t + 1:] * v[:, t:] * y[:, t:]
+    # Summed left to right, period t first, as the per-path definition reads.
+    full = np.cumsum(gains, axis=1)[:, -1]
+    rollup = growth[:, t] * w[:, t]
+    alt = w[:, T] - rollup
+    # Both sides round in proportion to the gains, which can cancel to a small W_T.
+    scale = np.max([np.ones_like(alt), np.abs(w[:, T]), np.abs(rollup),
+                    np.abs(gains).sum(axis=1)], axis=0)
+    bad = ~(np.abs(full - alt) <= 1e-12 * scale)
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericalError(
+            f"benchmark identity violated on path {i}: "
+            f"sum={float(full[i])!r}, terminal-minus-rollup={float(alt[i])!r}"
+        )
+    return BenchmarkReport(full, v[:, T - 1] * y[:, T - 1])
+
+
+@dataclass(eq=False)
+class EnsembleSummary:
+    """Per-period wealth statistics and mean realized fractions."""
+
+    wealth_mean: np.ndarray
+    wealth_quantiles: dict
+    fraction_mean: np.ndarray
 
 
 def simulate_paths(
@@ -221,7 +167,7 @@ def simulate_paths(
         rates[i] = rate_model.sample(periods, rng)
         ys[i] = schedule[0].sample(rng, T) if stationary else [d.sample(rng) for d in schedule]
 
-    # The same IEEE operations as optimal_trade and step_wealth, on all paths.
+    # optimal_trade's branch on the wealth sign and step_wealth, on all paths.
     k_star = [row.k_star for row in policy.rows]
     k_hat_star = [row.k_hat_star for row in policy.rows]
     wealth = np.empty((n_paths, T + 1))
@@ -231,16 +177,22 @@ def simulate_paths(
         for t in range(T):
             w = wealth[:, t]
             trades[:, t] = np.where(w >= 0.0, k_star[t], k_hat_star[t]) * w
-            wealth[:, t + 1] = (1.0 + rates[:, t]) * w + trades[:, t] * ys[:, t]
-    ens = PathEnsemble(wealth, trades, rates, ys, seed)
+            wealth[:, t + 1] = step_wealth(w, trades[:, t], rates[:, t], ys[:, t])
+    ens = PathEnsemble(wealth, trades, rates, ys)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Finite wealths can still sum past float64's range; reject that below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         frac = np.where(wealth[:, :-1] != 0.0, trades / wealth[:, :-1], 0.0)
-    summary = EnsembleSummary(
-        wealth_mean=wealth.mean(axis=0),
-        wealth_quantiles={q: np.quantile(wealth, q, axis=0) for q in _QUANTS},
-        fraction_mean=frac.mean(axis=0),
-    )
+        summary = EnsembleSummary(
+            wealth_mean=wealth.mean(axis=0),
+            wealth_quantiles={q: np.quantile(wealth, q, axis=0) for q in _QUANTS},
+            fraction_mean=frac.mean(axis=0),
+        )
+    # Fractions are bounded by the policy's, so only the wealth columns can overflow.
+    bad = np.argwhere(~np.isfinite([summary.wealth_mean, *summary.wealth_quantiles.values()]))
+    if bad.size:
+        col, t = bad[0]
+        raise NumericalError(f"summary {('wealth_mean', *_QCOLS)[col]} is not finite at period {t}")
     return ens, summary
 
 
@@ -253,14 +205,13 @@ def paths_to_csv(paths: PathEnsemble, fh) -> None:
                        for t in range(T))
     template += f"{{0}},{T},{{{4 * T + 1}:.17g}},,,\n"
     per_period = np.stack((paths.wealth[:, :-1], paths.trades, paths.rates, paths.excess_returns), axis=2)
-    fields = np.concatenate((per_period.reshape(len(paths), 4 * T), paths.wealth[:, -1:]), axis=1)
+    fields = np.concatenate((per_period.reshape(-1, 4 * T), paths.wealth[:, -1:]), axis=1)
     fh.write("path,t,W,v,r,y\n")
     fh.write("".join(template.format(i, *vals) for i, vals in enumerate(fields.tolist())))
 
 
 def summary_to_csv(summary: EnsembleSummary, fh) -> None:
-    qcols = ",".join(f"wealth_q{int(q * 100):02d}" for q in _QUANTS)
-    fh.write(f"t,wealth_mean,{qcols},fraction_mean\n")
+    fh.write(f"t,wealth_mean,{','.join(_QCOLS)},fraction_mean\n")
     T = summary.fraction_mean.size
     for t in range(T + 1):
         quants = ",".join(f"{summary.wealth_quantiles[q][t]:.17g}" for q in _QUANTS)

@@ -49,6 +49,11 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 CSV_HEADER = "t,A_t,B_t,kStar,kHatStar"
 
+# numpy's hermgauss overflows from 371 nodes; 256 is 4 times the default y_nodes.
+MAX_NODES = 256
+# Entries of recursion_step's grid x nodes tensor: 16 times the default 1001 x 64 x 16.
+MAX_TENSOR = 16 * 1001 * 64 * 16
+
 
 @dataclass(frozen=True)
 class Constraints:
@@ -122,10 +127,9 @@ class SolverSettings:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
         if not self.z_tol > 0.0:
             raise ValueError(f"z_tol must be > 0, got {self.z_tol}")
-        if self.y_nodes < 1:
-            raise ValueError(f"y_nodes must be >= 1, got {self.y_nodes}")
-        if self.r_nodes < 1:
-            raise ValueError(f"r_nodes must be >= 1, got {self.r_nodes}")
+        for name in ("y_nodes", "r_nodes"):
+            if not 1 <= getattr(self, name) <= MAX_NODES:
+                raise ValueError(f"{name} must lie in [1, {MAX_NODES}], got {getattr(self, name)}")
         if not self.cdf_tol > 0.0:
             raise ValueError(f"cdf_tol must be > 0, got {self.cdf_tol}")
 
@@ -279,6 +283,11 @@ def recursion_step(
 
     yv, yw = y_dist.expectation_nodes(settings.y_nodes)
     rv, rw = rate_model.nodes(t, settings.r_nodes)
+    if settings.grid_points * yv.size * rv.size > MAX_TENSOR:
+        raise ValueError(
+            f"period {t}: grid_points x return nodes x rate nodes = {settings.grid_points} x "
+            f"{yv.size} x {rv.size} exceeds {MAX_TENSOR}"
+        )
     rr = np.repeat(rv, yv.size)
     yy = np.tile(yv, rv.size)
     ww = np.outer(rw, yw).ravel()

@@ -32,7 +32,7 @@ from cptalloc import (
     terminal_stats,
 )
 
-BASE_PREFS = CptPreferences.create(0.88, 2.20, 0.61, 0.69)
+BASE_PREFS = CptPreferences(0.88, 2.20, 0.61, 0.69)
 BASE_BOUNDS = Constraints(-5.0, 5.0)
 BASE_RETURN = Normal(0.045, 1.69)
 BASE_RATE = GaussianSqrtTRate(0.03, 0.003)
@@ -112,7 +112,7 @@ def test_criterion_4_terminal_corner_property():
         for _ in range(100):
             gamma, delta = rng.uniform(0.3, 0.99, 2)
             alpha = float(rng.uniform(0.05, min(0.99, 2.0 * min(gamma, delta) - 0.02)))
-            prefs = CptPreferences.create(alpha, float(rng.uniform(1.1, 4.0)), gamma, delta)
+            prefs = CptPreferences(alpha, float(rng.uniform(1.1, 4.0)), gamma, delta)
             cons = Constraints(-float(rng.uniform(0.0, 6.0)), float(rng.uniform(0.5, 6.0)))
             n = int(rng.integers(2, 9))
             y = DiscreteEmpirical(rng.uniform(-2.0, 2.0, n), rng.dirichlet(np.ones(n)))
@@ -147,7 +147,7 @@ def test_criterion_5_recursion_sign_invariants():
         for i in range(20):
             gamma, delta = rng.uniform(0.35, 0.99, 2)
             alpha = float(rng.uniform(0.1, min(0.99, 2.0 * min(gamma, delta) - 0.05)))
-            prefs = CptPreferences.create(alpha, float(rng.uniform(1.2, 3.5)), gamma, delta)
+            prefs = CptPreferences(alpha, float(rng.uniform(1.2, 3.5)), gamma, delta)
             cons = Constraints(-float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.4, 4.0)))
             if i % 2 == 0:
                 n = int(rng.integers(2, 7))
@@ -227,7 +227,7 @@ def test_criterion_7_baseline_trends():
 
         k_alpha = []
         for alpha in (0.5, 0.6, 0.7, 0.8, 0.88):
-            prefs = CptPreferences.create(alpha, 2.20, 0.61, 0.69)
+            prefs = CptPreferences(alpha, 2.20, 0.61, 0.69)
             k_alpha.append(_first_period_fraction(prefs=prefs)[0])
         assert all(b >= a for a, b in zip(k_alpha, k_alpha[1:])), k_alpha
 
@@ -274,11 +274,10 @@ def test_criterion_9_simulation_integrity():
         table = backward_induction(BASE_PREFS, BASE_BOUNDS, BASE_RATE, BASE_RETURN, BASE_HORIZON)
         paths, _ = simulate_paths(table, BASE_RATE, BASE_RETURN, 0.8, 10_000, seed=20260810)
         lo, hi = BASE_BOUNDS.lo_frac, BASE_BOUNDS.hi_frac
-        for p in paths:
-            benchmarked_wealth(p, 0)  # validates self-financing and the identity
-            caps = np.abs(p.wealth[:-1])
-            assert np.all(p.trades >= lo * caps - 1e-12)
-            assert np.all(p.trades <= hi * caps + 1e-12)
+        benchmarked_wealth(paths, 0)  # validates self-financing and the identity
+        caps = np.abs(paths.wealth[:, :-1])
+        assert np.all(paths.trades >= lo * caps - 1e-12)
+        assert np.all(paths.trades <= hi * caps + 1e-12)
 
         zero_rows = tuple(PolicyCoefficients(t, 0.0, 0.0, 0.0, 0.0) for t in range(BASE_HORIZON))
         flat = PolicyTable(zero_rows)
@@ -288,8 +287,7 @@ def test_criterion_9_simulation_integrity():
         expected = 0.8
         for _ in range(BASE_HORIZON):
             expected = (1.0 + 0.03) * expected
-        for p in flat_paths:
-            assert p.wealth[-1] == expected
+        assert np.all(flat_paths.wealth[:, -1] == expected)
 
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s"

@@ -15,7 +15,7 @@ from cptalloc import (
     distort,
 )
 
-TK = CptPreferences.create(0.88, 2.20, 0.61, 0.69)
+TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 COIN = DiscreteEmpirical([-1.0, 1.0], [0.5, 0.5])
 
 
@@ -48,7 +48,7 @@ class TestDiscreteOracle:
 
     @pytest.mark.parametrize(
         "prefs",
-        [TK, CptPreferences.create(0.5, 1.5, 0.4, 0.9), CptPreferences.create(0.3, 3.0, 0.8, 0.3)],
+        [TK, CptPreferences(0.5, 1.5, 0.4, 0.9), CptPreferences(0.3, 3.0, 0.8, 0.3)],
     )
     def test_degenerate_one(self, prefs):
         out = cpt_discrete(prefs, DiscreteEmpirical([1.0], [1.0]))
@@ -67,7 +67,7 @@ class TestDiscreteOracle:
         assert out.value == pytest.approx(two_atom_value_hp(TK, 1.0, -0.2, 0.6), abs=1e-12)
 
     def test_loss_aversion_makes_symmetric_gambles_negative(self):
-        prefs = CptPreferences.create(0.88, 2.2, 0.69, 0.69)
+        prefs = CptPreferences(0.88, 2.2, 0.69, 0.69)
         rng = np.random.default_rng(11)
         for _ in range(10):
             x = np.sort(rng.uniform(0.1, 5.0, 3))

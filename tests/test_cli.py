@@ -368,6 +368,7 @@ BAD_CONFIGS = [
     ("z_tol = 0", "z_tol"),
     ("y_nodes = 0", "y_nodes"),
     ("r_nodes = 0", "r_nodes"),
+    ("r_nodes = 257", "r_nodes"),
     ("cdf_tol = 0", "cdf_tol"),
     ("n_paths = 0", "n_paths"),
     ("seed = -1", "seed"),
@@ -407,6 +408,24 @@ def probe_dir(tmp_path, monkeypatch):
         "mu = 0.3\nsigma = 0.5\nhorizon = 3\nn_paths = 5\nw0 = 1e308\ngrid_points = 101\n"
     )
     (tmp_path / "many_paths.cfg").write_text("n_paths = 100000000\nhorizon = 2\n")
+    (tmp_path / "summary_overflow.cfg").write_text(
+        "horizon = 2\nn_paths = 50\nw0 = 1e307\ngrid_points = 101\nrate_model = fixed\nrate = 0.5\n"
+    )
+    write_atoms(tmp_path)
+    (tmp_path / "rate_nodes.cfg").write_text(
+        "atom_file = atoms.csv\nrate_vol = 1e308\nhorizon = 3\nn_paths = 5\ngrid_points = 101\n"
+    )
+    (tmp_path / "normal_nodes.cfg").write_text(
+        "mu = 0.3,0.3,0.3\nsigma = 1e308,0.5,0.5\nhorizon = 3\ngrid_points = 101\n"
+    )
+    (tmp_path / "y_nodes.cfg").write_text("y_nodes = 30000\n")
+    (tmp_path / "grid.cfg").write_text("grid_points = 100000000\n")
+    # 2000 grid points x 16384 atoms x 1 rate node: the atom count binds.
+    rows = "".join(f"{float(v)!r},{2.0**-14!r}\n" for v in np.linspace(-0.5, 1.0, 2**14))
+    (tmp_path / "atoms16k.csv").write_text("value,probability\n" + rows)
+    (tmp_path / "atom_tensor.cfg").write_text(
+        "atom_file = atoms16k.csv\nrate_model = fixed\nrate = 0.03\nhorizon = 2\ngrid_points = 2000\n"
+    )
     (tmp_path / "a_file").write_text("")
     (tmp_path / "blocked" / "policy.csv").mkdir(parents=True)
     return tmp_path
@@ -428,10 +447,17 @@ def probe_dir(tmp_path, monkeypatch):
         (["simulate", "--config", "many_paths.cfg"], 1),
         (["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "2"], 1),
         (["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "100000000"], 1),
+        (["simulate", "--config", "summary_overflow.cfg"], 2),
+        (["simulate", "--config", "rate_nodes.cfg"], 2),
+        (["solve", "--config", "normal_nodes.cfg"], 2),
+        (["solve", "--config", "y_nodes.cfg"], 1),
+        (["solve", "--config", "grid.cfg"], 1),
+        (["solve", "--config", "atom_tensor.cfg"], 1),
     ],
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
-         "demo_grid_small", "demo_grid_large"],
+         "demo_grid_small", "demo_grid_large", "summary_overflow", "rate_node_overflow",
+         "normal_node_overflow", "y_nodes_bound", "tensor_bound", "atom_tensor_bound"],
 )
 def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
     assert cli.main(argv) == code

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cptalloc import CptPreferences, DistortionParams, ValueParams, distort, value
+from cptalloc import CptPreferences, distort, value
 
-TK = CptPreferences.create(0.88, 2.20, 0.61, 0.69)
+TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 
 
 def weight_hp(p, e):
@@ -69,26 +69,26 @@ class TestDistortion:
 class TestValidation:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2])
     def test_alpha_bounds(self, alpha):
-        with pytest.raises(ValueError):
-            ValueParams(alpha, 2.2)
+        with pytest.raises(ValueError, match="0 < alpha < 1"):
+            CptPreferences(alpha, 2.2, 0.61, 0.69)
 
     @pytest.mark.parametrize("lam", [1.0, 0.5, -1.0])
     def test_lam_bounds(self, lam):
-        with pytest.raises(ValueError):
-            ValueParams(0.88, lam)
+        with pytest.raises(ValueError, match="lam > 1"):
+            CptPreferences(0.88, lam, 0.61, 0.69)
 
     @pytest.mark.parametrize("g", [0.28, 0.2, 1.0, 1.3])
     def test_distortion_bounds(self, g):
-        with pytest.raises(ValueError):
-            DistortionParams(g, 0.69)
-        with pytest.raises(ValueError):
-            DistortionParams(0.61, g)
+        with pytest.raises(ValueError, match="0.28 < gamma < 1"):
+            CptPreferences(0.88, 2.2, g, 0.69)
+        with pytest.raises(ValueError, match="0.28 < delta < 1"):
+            CptPreferences(0.88, 2.2, 0.61, g)
 
     def test_wellposedness_enforced(self):
         # alpha = 0.9 >= 2*0.43 fails, just below passes
         with pytest.raises(ValueError):
-            CptPreferences.create(0.9, 2.2, 0.43, 0.95)
-        CptPreferences.create(0.85, 2.2, 0.43, 0.95)
+            CptPreferences(0.9, 2.2, 0.43, 0.95)
+        CptPreferences(0.85, 2.2, 0.43, 0.95)
 
 
 @given(
@@ -115,7 +115,7 @@ def test_value_odd_signed(x):
 @settings(max_examples=200)
 def test_distortion_strictly_increasing_and_bounded(lo, step, e):
     hi = min(lo + step, 1.0)
-    prefs = CptPreferences.create(min(0.5, 1.9 * e), 2.0, e, e)
+    prefs = CptPreferences(min(0.5, 1.9 * e), 2.0, e, e)
     w_lo = distort(prefs, "gain", lo)
     w_hi = distort(prefs, "gain", hi)
     assert 0.0 <= w_lo <= 1.0 and 0.0 <= w_hi <= 1.0

@@ -10,14 +10,13 @@ from cptalloc import (
     DiscreteEmpirical,
     GaussianSqrtTRate,
     Normal,
+    PathEnsemble,
     PolicyCoefficients,
     PolicyTable,
     SolverSettings,
-    WealthPath,
     as_schedule,
     backward_induction,
     benchmarked_wealth,
-    compound_factor,
     inconsistency_demo,
     optimal_trade,
     simulate_paths,
@@ -27,16 +26,21 @@ from cptalloc import (
 )
 from cptalloc.simulate import paths_to_csv, summary_to_csv
 
-TK = CptPreferences.create(0.88, 2.20, 0.61, 0.69)
+TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 BOUNDS = Constraints(-5.0, 5.0)
 SKEWED = DiscreteEmpirical([1.0, -0.2], [0.6, 0.4])
 
 
-def build_path(w0, trades, rates, ys, seed="test"):
+def path_arrays(w0, trades, rates, ys):
+    """One self-financing path as (1, T+1) and (1, T) arrays."""
     wealth = [w0]
     for v, r, y in zip(trades, rates, ys):
         wealth.append(step_wealth(wealth[-1], v, r, y))
-    return WealthPath(np.array(wealth), np.array(trades), np.array(rates), np.array(ys), seed)
+    return [np.array([row], dtype=float) for row in (wealth, trades, rates, ys)]
+
+
+def build_path(w0, trades, rates, ys):
+    return PathEnsemble(*path_arrays(w0, trades, rates, ys))
 
 
 class TestStepWealth:
@@ -52,23 +56,6 @@ class TestStepWealth:
     def test_rejects_rate_at_minus_one(self):
         with pytest.raises(ValueError):
             step_wealth(1.0, 0.0, -1.0, 0.0)
-
-
-class TestCompoundFactor:
-    def test_empty_product(self):
-        assert compound_factor([0.03, 0.02], 1, 1) == 1.0
-
-    def test_constant_rate(self):
-        assert compound_factor([0.03, 0.03], 0, 2) == pytest.approx(1.0609, abs=1e-12)
-
-    def test_mixed_rates(self):
-        assert compound_factor([0.01, 0.02], 0, 2) == pytest.approx(1.0302, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            compound_factor([0.03], 0, 2)
-        with pytest.raises(ValueError):
-            compound_factor([0.03], 1, 0)
 
 
 class TestBenchmarkedWealth:
@@ -99,23 +86,72 @@ class TestBenchmarkedWealth:
                 rng.uniform(-0.05, 0.1, T),
                 rng.normal(0, 0.5, T),
             )
+            w, rates = path.wealth[0], path.rates[0]
             for t in range(T):
                 rep = benchmarked_wealth(path, t)
-                rollup = compound_factor(path.rates, t, T) * path.wealth[t]
-                assert rep.full_benchmark == pytest.approx(
-                    path.wealth[T] - rollup, abs=1e-12 * max(1.0, abs(path.wealth[T]))
+                rollup = np.prod(1.0 + rates[t:]) * w[t]
+                assert rep.full_benchmark[0] == pytest.approx(
+                    w[T] - rollup, abs=1e-12 * max(1.0, abs(w[T]))
                 )
 
     def test_rejects_tampered_path(self):
-        path = build_path(1.0, [1.0, 1.0], [0.03, 0.03], [0.1, 0.1])
-        path.wealth[1] += 1e-6
+        arrays = path_arrays(1.0, [1.0, 1.0], [0.03, 0.03], [0.1, 0.1])
+        arrays[0][0, 1] += 1e-6
         with pytest.raises(ValueError, match="self-financing"):
-            benchmarked_wealth(path, 0)
+            benchmarked_wealth(PathEnsemble(*arrays), 0)
 
     def test_rejects_bad_initial_time(self):
         path = build_path(1.0, [1.0], [0.03], [0.1])
         with pytest.raises(ValueError):
             benchmarked_wealth(path, 1)
+
+
+def scalar_benchmark(trades, rates, ys, t):
+    """Per-path definition: each trade's excess gain, from period t on, grown
+    at the risk-free rate to T; and the last trade's excess gain."""
+    T = len(trades)
+    full = 0.0
+    for j in range(t, T):
+        growth = 1.0
+        for i in range(T - 1, j, -1):
+            growth *= 1.0 + rates[i]
+        full += growth * trades[j] * ys[j]
+    return full, trades[T - 1] * ys[T - 1]
+
+
+class TestBenchmarkedEnsemble:
+    @pytest.fixture
+    def arrays(self):
+        rng = np.random.default_rng(8)
+        rows = [path_arrays(float(rng.normal(1.0, 2.0)), rng.normal(0, 2, 9),
+                            rng.uniform(-0.05, 0.1, 9), rng.normal(0, 0.5, 9)) for _ in range(6)]
+        return [np.concatenate(col) for col in zip(*rows)]
+
+    @pytest.mark.parametrize("t", [0, 3, 8])
+    def test_rows_equal_scalar_reference(self, arrays, t):
+        rep = benchmarked_wealth(PathEnsemble(*arrays), t)
+        want = np.array([scalar_benchmark(*(a[i].tolist() for a in arrays[1:]), t)
+                         for i in range(6)])
+        assert rep.full_benchmark.shape == rep.last_period_benchmark.shape == (6,)
+        np.testing.assert_array_equal(rep.full_benchmark, want[:, 0])
+        np.testing.assert_array_equal(rep.last_period_benchmark, want[:, 1])
+
+    def test_cancelling_gains_pass_the_identity(self):
+        # At leverage 5 on SKEWED, wealth climbs by orders of magnitude and
+        # falls back, so W_T is far smaller than the gains summed to reach it.
+        lever = PolicyTable(tuple(PolicyCoefficients(t, 1.0, -1.0, 5.0, -5.0) for t in range(10)))
+        paths, _ = simulate_paths(lever, DeterministicRate(0.03), SKEWED, 0.8, 1000, seed=7)
+        rep = benchmarked_wealth(paths, 0)
+        swing = paths.wealth.max(axis=1) / np.abs(paths.wealth[:, -1])
+        assert swing.max() > 1e5
+        rollup = 1.03**10 * 0.8
+        np.testing.assert_allclose(rep.full_benchmark, paths.wealth[:, -1] - rollup,
+                                   rtol=0, atol=1e-6)
+
+    def test_tampered_row_names_its_period(self, arrays):
+        arrays[0][4, 6] += 1e-9
+        with pytest.raises(ValueError, match="self-financing violated at period 5$"):
+            benchmarked_wealth(PathEnsemble(*arrays), 0)
 
 
 @pytest.fixture(scope="module")
@@ -136,17 +172,15 @@ class TestSimulatePaths:
         for _ in range(10):
             expected = (1.0 + 0.03) * expected
         assert expected == pytest.approx(0.8 * 1.03**10, rel=1e-12)
-        for p in paths:
-            assert p.wealth[-1] == expected
-            assert np.all(p.trades == 0.0)
+        assert np.all(paths.wealth[:, -1] == expected)
+        assert np.all(paths.trades == 0.0)
 
     def test_seeded_determinism(self, flat_policy):
         a, _ = simulate_paths(flat_policy, GaussianSqrtTRate(0.03, 0.003), Normal(0.045, 1.69), 0.8, 7, seed=99)
         b, _ = simulate_paths(flat_policy, GaussianSqrtTRate(0.03, 0.003), Normal(0.045, 1.69), 0.8, 7, seed=99)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.wealth, pb.wealth)
-            np.testing.assert_array_equal(pa.rates, pb.rates)
-            np.testing.assert_array_equal(pa.excess_returns, pb.excess_returns)
+        np.testing.assert_array_equal(a.wealth, b.wealth)
+        np.testing.assert_array_equal(a.rates, b.rates)
+        np.testing.assert_array_equal(a.excess_returns, b.excess_returns)
 
     def test_degenerate_return_matches_recurrence(self):
         y = DiscreteEmpirical([0.045], [1.0])
@@ -157,7 +191,7 @@ class TestSimulatePaths:
         w = 0.8
         for t in range(5):
             w = (1.0 + 0.03) * w + table.rows[t].k_star * w * 0.045
-        assert paths[0].wealth[-1] == w
+        assert paths.wealth[0, -1] == w
 
     def test_invariants_hold_on_ensemble(self):
         table = backward_induction(
@@ -166,23 +200,17 @@ class TestSimulatePaths:
         paths, summary = simulate_paths(
             table, GaussianSqrtTRate(0.03, 0.003), SKEWED, 0.8, 64, seed=11
         )
-        for p in paths:
-            benchmarked_wealth(p, 0)  # validates self-financing and the identity
-            limits_lo = BOUNDS.lo_frac * np.abs(p.wealth[:-1])
-            limits_hi = BOUNDS.hi_frac * np.abs(p.wealth[:-1])
-            assert np.all(p.trades >= limits_lo - 1e-12)
-            assert np.all(p.trades <= limits_hi + 1e-12)
+        benchmarked_wealth(paths, 0)  # validates self-financing and the identity
+        caps = np.abs(paths.wealth[:, :-1])
+        assert np.all(paths.trades >= BOUNDS.lo_frac * caps - 1e-12)
+        assert np.all(paths.trades <= BOUNDS.hi_frac * caps + 1e-12)
         assert summary.wealth_mean.shape == (7,)
         assert summary.fraction_mean.shape == (6,)
 
     def test_ensemble_rows_are_read_only_paths(self, flat_policy):
         ens, _ = simulate_paths(flat_policy, DeterministicRate(0.03), SKEWED, 0.8, 3, seed=1)
-        assert len(ens) == 3 and ens[-1].seed == "1/2"
-        np.testing.assert_array_equal(ens[2].wealth, ens.wealth[2])
         with pytest.raises(ValueError):
             ens.wealth[0, 0] = 1.0
-        with pytest.raises(IndexError):
-            ens[3]
 
     def test_rejects_bad_args(self, flat_policy):
         with pytest.raises(ValueError):
@@ -197,8 +225,7 @@ class TestSimulatePaths:
             TK, BOUNDS, DeterministicRate(0.03), [y0, y1], 2, SolverSettings(grid_points=101)
         )
         paths, _ = simulate_paths(table, DeterministicRate(0.03), [y0, y1], 1.0, 2, seed=4)
-        for p in paths:
-            np.testing.assert_array_equal(p.excess_returns, [0.1, 0.2])
+        np.testing.assert_array_equal(paths.excess_returns, [[0.1, 0.2]] * 2)
 
 
 # Trades on both wealth signs (k_star = 5, k_hat_star = -2), so paths that
@@ -245,7 +272,7 @@ def test_ensemble_matches_scalar_reference(rate_model, y_dist):
     assert np.any(want[0] < 0.0) and np.any(want[0] > 0.0)  # both branches bind
     paths, _ = simulate_paths(CROSSING, rate_model, y_dist, 0.8, 25, seed=2024)
     for name, ref in zip(("wealth", "trades", "rates", "excess_returns"), want):
-        np.testing.assert_array_equal(np.array([getattr(p, name) for p in paths]), ref)
+        np.testing.assert_array_equal(getattr(paths, name), ref)
 
 
 class TestCsvEmission:

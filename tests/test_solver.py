@@ -22,7 +22,7 @@ from cptalloc import (
     terminal_stats,
 )
 
-TK = CptPreferences.create(0.88, 2.20, 0.61, 0.69)
+TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 BOUNDS = Constraints(-5.0, 5.0)
 SKEWED = DiscreteEmpirical([1.0, -0.2], [0.6, 0.4])
 ZERO_Y = DiscreteEmpirical([0.0], [1.0])
@@ -87,7 +87,7 @@ class TestTerminalCoefficients:
         for _ in range(30):
             gamma, delta = rng.uniform(0.3, 0.99, 2)
             alpha = rng.uniform(0.05, min(0.99, 2 * min(gamma, delta) - 0.02))
-            prefs = CptPreferences.create(alpha, rng.uniform(1.1, 4.0), gamma, delta)
+            prefs = CptPreferences(alpha, rng.uniform(1.1, 4.0), gamma, delta)
             cons = Constraints(-float(rng.uniform(0.0, 6.0)), float(rng.uniform(0.5, 6.0)))
             stats = TerminalStats(float(rng.normal(0, 1)), float(rng.normal(0, 1)))
             row = terminal_coefficients(prefs, cons, stats)
@@ -206,7 +206,7 @@ class TestBackwardInduction:
         for _ in range(5):
             gamma, delta = rng.uniform(0.35, 0.99, 2)
             alpha = rng.uniform(0.1, min(0.99, 2 * min(gamma, delta) - 0.05))
-            prefs = CptPreferences.create(alpha, rng.uniform(1.2, 3.5), gamma, delta)
+            prefs = CptPreferences(alpha, rng.uniform(1.2, 3.5), gamma, delta)
             cons = Constraints(-float(rng.uniform(0, 4)), float(rng.uniform(0.5, 4)))
             n = int(rng.integers(2, 6))
             y = DiscreteEmpirical(rng.uniform(-1.5, 1.5, n), rng.dirichlet(np.ones(n)))
