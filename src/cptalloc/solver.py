@@ -210,6 +210,13 @@ def terminal_coefficients(
     return PolicyCoefficients(t, a_coef, -l_max + 0.0, k_star, k_hat_star)
 
 
+def _finite_max(vals: np.ndarray) -> float:
+    top = vals.max()
+    if not np.isfinite(top):
+        raise NumericalError(f"objective maximum is not finite ({top}): values overflow float64")
+    return top
+
+
 def _grid_then_golden(
     f_batch: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -223,9 +230,7 @@ def _grid_then_golden(
     """
     zs = np.linspace(lo, hi, settings.grid_points)
     vals = f_batch(zs)
-    top = vals.max()
-    if not np.isfinite(top):
-        raise NumericalError(f"objective maximum is not finite ({top}): values overflow float64")
+    top = _finite_max(vals)
     near = np.nonzero(vals >= top - settings.z_tol)[0]
     i = near[np.lexsort((zs[near], np.abs(zs[near])))[0]]
     z_best, v_best = float(zs[i]), float(vals[i])
@@ -292,11 +297,18 @@ def recursion_step(
     yy = np.tile(yv, rv.size)
     ww = np.outer(rw, yw).ravel()
     a_next, b_next = nxt.a_coef, nxt.b_coef
+    lo, hi = constraints.lo_frac, constraints.hi_frac
 
     def mix_batch(zs: np.ndarray, c_pos: float, c_neg: float) -> np.ndarray:
-        q = 1.0 + rr[None, :] + np.outer(zs, yy)
-        contrib = c_pos * np.maximum(q, 0.0) ** a + c_neg * np.maximum(-q, 0.0) ** a
-        return contrib @ ww
+        # c_pos*max(q, 0)**a + c_neg*max(-q, 0)**a with one power per entry,
+        # computed in place in the one (len(zs), nodes) buffer.
+        q = np.outer(zs, yy)
+        q += 1.0 + rr
+        c = np.where(q >= 0.0, c_pos, c_neg)
+        np.abs(q, out=q)
+        q **= a
+        q *= c
+        return q @ ww
 
     def g_batch(zs: np.ndarray) -> np.ndarray:
         return mix_batch(zs, a_next, -b_next)
@@ -304,15 +316,16 @@ def recursion_step(
     def l_batch(zs: np.ndarray) -> np.ndarray:
         return mix_batch(zs, -b_next, a_next)
 
-    # Overflowing powers become inf or nan; _grid_then_golden turns a non-finite
+    # Overflowing powers become inf or nan; _finite_max turns a non-finite
     # maximum into a NumericalError, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        k_star, a_coef = _grid_then_golden(
-            g_batch, constraints.lo_frac, constraints.hi_frac, settings
-        )
-        k_hat_star, l_max = _grid_then_golden(
-            l_batch, -constraints.hi_frac, -constraints.lo_frac, settings
-        )
+        if a_next == 0.0 and b_next == 0.0:
+            # Both objectives are exactly 0 wherever the tensor is finite. q is
+            # affine in z, so an overflow anywhere on a grid shows at its ends.
+            _finite_max(g_batch(np.array([lo, hi, -hi, -lo])))
+            g_batch = l_batch = np.zeros_like
+        k_star, a_coef = _grid_then_golden(g_batch, lo, hi, settings)
+        k_hat_star, l_max = _grid_then_golden(l_batch, -hi, -lo, settings)
     return PolicyCoefficients(t, a_coef, -l_max + 0.0, k_star, k_hat_star)
 
 

@@ -252,6 +252,23 @@ def test_criterion_7_baseline_trends():
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 
+def test_active_trends():
+    # Criterion 7's calibrations all solve to the zero policy, so they never
+    # reach the recursion kernel; mu = 0.3, sigma = 0.5 invests every period.
+    settings = SolverSettings(grid_points=201)
+
+    def first_row(mu=0.3, lam=2.20):
+        prefs = CptPreferences(0.88, lam, 0.61, 0.69)
+        table = backward_induction(prefs, BASE_BOUNDS, BASE_RATE, Normal(mu, 0.5), 5, settings)
+        assert all(row.k_star != 0.0 for row in table.rows), table.rows
+        return table.rows[0]
+
+    a_mu = [first_row(mu=m).a_coef for m in (0.3, 0.6, 1.0)]
+    assert all(b > a for a, b in zip(a_mu, a_mu[1:])), a_mu
+    a_lam = [first_row(lam=lam).a_coef for lam in (1.5, 2.25)]
+    assert a_lam[1] < a_lam[0], a_lam
+
+
 def test_criterion_8_inconsistency_demo():
     with criterion(8, "time-inconsistency demo"):
         fixture = DiscreteEmpirical.from_csv(CONFIG_DIR / "demo_gamble.csv")

@@ -1,10 +1,18 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
+import os
 import re
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cptalloc.cli as cli
 from cptalloc import (
@@ -324,6 +332,30 @@ class TestMainExitCodes:
         }
 
 
+SRC_DIR = Path(cli.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        ("mu = 0.3\nsigma = 0.5\nhorizon = 5\n",
+         "8758608423e7ee28d61aca4aad5fa7b8e0504ce2353a9ea0bf20be66ccd5df7b"),
+        ("horizon = 5\n", "beb9ce355cdf0d6e4b65996cbee6b086694911e8a4d85009aa886c00b0b8acf2"),
+    ],
+    ids=["active", "zero_policy"],
+)
+def test_solve_artifacts_are_pinned(tmp_path, text, digest):
+    # The last digits of an active policy depend on the summation order of the
+    # BLAS matrix-vector product, hence on its thread count: pin it to one.
+    (tmp_path / "run.cfg").write_text(text)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC_DIR)}
+    subprocess.run(
+        [sys.executable, "-m", "cptalloc", "solve", "--config", "run.cfg", "--out", "out"],
+        cwd=tmp_path, env=env, check=True, capture_output=True,
+    )
+    assert hashlib.sha256((tmp_path / "out" / "policy.csv").read_bytes()).hexdigest() == digest
+
+
 class TestWorkerCount:
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("CPT_ALLOC_THREADS", "1")
@@ -415,6 +447,10 @@ def probe_dir(tmp_path, monkeypatch):
     (tmp_path / "rate_nodes.cfg").write_text(
         "atom_file = atoms.csv\nrate_vol = 1e308\nhorizon = 3\nn_paths = 5\ngrid_points = 101\n"
     )
+    # Baseline mu/sigma: the terminal row is zero, so period 1 is a zero row.
+    (tmp_path / "zero_row_overflow.cfg").write_text(
+        "rate_vol = 1e308\nhorizon = 3\ngrid_points = 101\n"
+    )
     (tmp_path / "normal_nodes.cfg").write_text(
         "mu = 0.3,0.3,0.3\nsigma = 1e308,0.5,0.5\nhorizon = 3\ngrid_points = 101\n"
     )
@@ -450,6 +486,7 @@ def probe_dir(tmp_path, monkeypatch):
         (["simulate", "--config", "summary_overflow.cfg"], 2),
         (["simulate", "--config", "rate_nodes.cfg"], 2),
         (["solve", "--config", "normal_nodes.cfg"], 2),
+        (["solve", "--config", "zero_row_overflow.cfg"], 2),
         (["solve", "--config", "y_nodes.cfg"], 1),
         (["solve", "--config", "grid.cfg"], 1),
         (["solve", "--config", "atom_tensor.cfg"], 1),
@@ -457,7 +494,8 @@ def probe_dir(tmp_path, monkeypatch):
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
          "demo_grid_small", "demo_grid_large", "summary_overflow", "rate_node_overflow",
-         "normal_node_overflow", "y_nodes_bound", "tensor_bound", "atom_tensor_bound"],
+         "normal_node_overflow", "zero_row_overflow", "y_nodes_bound", "tensor_bound",
+         "atom_tensor_bound"],
 )
 def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
     assert cli.main(argv) == code
@@ -472,3 +510,62 @@ def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
 def test_replace_revalidates():
     with pytest.raises(ConfigError, match="alpha"):
         dataclasses.replace(RunConfig(), alpha=2.0)
+
+
+# Zero policy (baseline), active, finite-atom, overflowing and invalid inputs.
+FUZZ_CALIBRATIONS = (
+    "",
+    "mu = 0.3\nsigma = 0.5\n",
+    "atom_file = atoms.csv\n",
+    "mu = 1e300\n",
+    "rate_vol = 1e308\n",
+    "sigma = -1\n",
+    "lambda = 0.5\n",
+)
+
+
+@st.composite
+def fuzz_case(draw):
+    """A tiny config and the argv of one command, minus --config and --out."""
+    text = draw(st.sampled_from(FUZZ_CALIBRATIONS))
+    text += draw(st.sampled_from(("", "rate_model = fixed\nrate = 0.03\n")))
+    for key, hi in (("grid_points", 41), ("y_nodes", 8), ("r_nodes", 4), ("horizon", 3),
+                    ("n_paths", 50)):
+        text += f"{key} = {draw(st.integers(1, hi))}\n"
+    command = draw(st.sampled_from(("solve", "simulate", "sweep", "value", "demo")))
+    argv = [command]
+    if command == "simulate":
+        argv += ["--seed", str(draw(st.integers(-1, 5)))]
+    elif command == "sweep":
+        values = st.sampled_from(("0.3", "0.88", "1.5", "-1", "nan", "fixed", "sqrt_t"))
+        argv += ["--param", draw(st.sampled_from((*cli.SWEEP_PARAMS, "beta"))),
+                 "--grid", ",".join(draw(st.lists(values, min_size=1, max_size=2)))]
+    elif command == "value":
+        argv += ["--amount", repr(draw(st.floats()))]
+    elif command == "demo":
+        argv += ["--demo-grid", str(draw(st.integers(2, 7))),
+                 "--r-low", draw(st.sampled_from(("0", "0.5", "-2", "inf")))]
+    return text, argv
+
+
+TINY = "grid_points = 11\ny_nodes = 4\nr_nodes = 4\nhorizon = 3\nn_paths = 5\n"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(fuzz_case())
+@example(("mu = 1e300\n" + TINY, ["simulate"]))
+@example(("rate_vol = 1e308\n" + TINY, ["sweep", "--param", "mu", "--grid", "0.045"]))
+def test_main_fuzz_exits_cleanly(case):
+    text, argv = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_atoms(Path(tmp))
+        (Path(tmp) / "run.cfg").write_text(text)
+        argv = [*argv, "--config", str(Path(tmp) / "run.cfg"), "--out", str(Path(tmp) / "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert_one_line(err.getvalue(), "config error: " if code == 1 else "numerical failure: ")

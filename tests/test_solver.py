@@ -21,6 +21,7 @@ from cptalloc import (
     terminal_coefficients,
     terminal_stats,
 )
+from cptalloc.solver import _grid_then_golden
 
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 BOUNDS = Constraints(-5.0, 5.0)
@@ -132,6 +133,65 @@ class TestRecursionStep:
         nxt = PolicyCoefficients(0, 1.0, -1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             recursion_step(TK, BOUNDS, nxt, DeterministicRate(0.03), SKEWED)
+
+
+def two_power_step(prefs, constraints, nxt, rate_model, y_dist, settings):
+    """Reference recursion step: a full scan of the two-power kernel on every row."""
+    a = prefs.alpha
+    yv, yw = y_dist.expectation_nodes(settings.y_nodes)
+    rv, rw = rate_model.nodes(nxt.t - 1, settings.r_nodes)
+    rr = np.repeat(rv, yv.size)
+    yy = np.tile(yv, rv.size)
+    ww = np.outer(rw, yw).ravel()
+
+    def mix_batch(zs, c_pos, c_neg):
+        q = 1.0 + rr[None, :] + np.outer(zs, yy)
+        contrib = c_pos * np.maximum(q, 0.0) ** a + c_neg * np.maximum(-q, 0.0) ** a
+        return contrib @ ww
+
+    a_next, b_next = nxt.a_coef, nxt.b_coef
+    lo, hi = constraints.lo_frac, constraints.hi_frac
+    k_star, a_coef = _grid_then_golden(
+        lambda zs: mix_batch(zs, a_next, -b_next), lo, hi, settings
+    )
+    k_hat_star, l_max = _grid_then_golden(
+        lambda zs: mix_batch(zs, -b_next, a_next), -hi, -lo, settings
+    )
+    return PolicyCoefficients(nxt.t - 1, a_coef, -l_max + 0.0, k_star, k_hat_star)
+
+
+ACTIVE_NEXT = PolicyCoefficients(2, 2.0, -7.0, 0.0, 0.0)
+ZERO_NEXT = PolicyCoefficients(2, 0.0, 0.0, 0.0, 0.0)
+SQRT_T = GaussianSqrtTRate(0.03, 0.003)
+
+
+@pytest.mark.parametrize(
+    "constraints, nxt, rate_model, y_dist, grid_points",
+    [
+        (BOUNDS, ACTIVE_NEXT, SQRT_T, Normal(0.3, 0.5), 201),
+        (BOUNDS, ACTIVE_NEXT, DeterministicRate(0.03), SKEWED, 201),
+        # q = 1 + z changes sign at z = -1, and q = 1 - 0.2*z is exactly 0 at z = 5.
+        (BOUNDS, PolicyCoefficients(1, 0.3, -0.1, 0.0, 0.0), DeterministicRate(0.0), SKEWED, 201),
+        (Constraints(-0.5, 3.0), ACTIVE_NEXT, SQRT_T, Normal(0.1, 2.0), 201),
+        # 0 is not a point of a 1000-point grid on [-5, 5]: the tie-break picks -5/999.
+        (BOUNDS, ZERO_NEXT, SQRT_T, Normal(0.045, 1.69), 1000),
+        (Constraints(0.0, 5.0), ZERO_NEXT, SQRT_T, Normal(0.045, 1.69), 1000),
+        (Constraints(0.0, 2.0), ZERO_NEXT, DeterministicRate(0.03), SKEWED, 101),
+    ],
+    ids=["normal_sqrt_t", "atoms_fixed", "q_crosses_zero", "asymmetric_bounds",
+         "zero_row_off_grid", "zero_row_lo_0", "zero_row_atoms_lo_0"],
+)
+def test_recursion_step_equals_two_power_reference(
+    constraints, nxt, rate_model, y_dist, grid_points
+):
+    settings = SolverSettings(grid_points=grid_points)
+    got = recursion_step(TK, constraints, nxt, rate_model, y_dist, settings)
+    want = two_power_step(TK, constraints, nxt, rate_model, y_dist, settings)
+    assert got == want
+    assert repr(got) == repr(want)  # also tells -0.0 from 0.0, which policy.csv prints
+    if nxt.a_coef == nxt.b_coef == 0.0:
+        assert got.k_star == min(np.linspace(constraints.lo_frac, constraints.hi_frac,
+                                              grid_points), key=lambda z: (abs(z), z))
 
 
 def enumerate_policy_sequences(prefs, stats, grid, r, y, horizon):
