@@ -105,31 +105,24 @@ def _quad_leg(integrand, s_hi: float, breaks, tol: float, label: str) -> float:
     return max(float(out[0]), 0.0)
 
 
-def cpt_cdf(
-    prefs: CptPreferences,
-    d: Distribution,
-    tol: float = 1e-9,
-    tail_mass: float = TAIL_MASS,
-) -> CptValue:
+def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = 1e-9) -> CptValue:
     """Prospect value by adaptive quadrature on the distorted tail CDFs.
 
     Each leg is integrated in the transformed variable s = x**alpha over
-    [0, q**alpha], where q is the 1 - tail_mass (respectively tail_mass)
+    [0, q**alpha], where q is the 1 - TAIL_MASS (respectively TAIL_MASS)
     quantile. For finite distributions the atom positions are handed to the
     integrator as breakpoints, which makes the piecewise-constant integrand
     exact; the result then matches ``cpt_discrete`` to quadrature precision.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if not 0.0 < tail_mass < 0.5:
-        raise ValueError(f"tail_mass must lie in (0, 0.5), got {tail_mass}")
     a, lam = prefs.alpha, prefs.lam
     inv_a = 1.0 / a
     gamma, delta = prefs.gamma, prefs.delta
     atoms = d.values if isinstance(d, DiscreteEmpirical) else None
 
     gain = 0.0
-    x_hi = d.quantile(1.0 - tail_mass)
+    x_hi = d.quantile(1.0 - TAIL_MASS)
     if x_hi > 0.0:
 
         def gain_integrand(s: float) -> float:
@@ -139,7 +132,7 @@ def cpt_cdf(
         gain = _quad_leg(gain_integrand, x_hi**a, breaks, tol, "gain")
 
     loss = 0.0
-    x_lo = d.quantile(tail_mass)
+    x_lo = d.quantile(TAIL_MASS)
     if x_lo < 0.0:
 
         def loss_integrand(s: float) -> float:

@@ -74,11 +74,11 @@ class RunConfig:
     rate_vol: float = 0.003
     horizon: int = 10
     w0: float = 0.8
-    grid_points: int = 1001
-    z_tol: float = 1e-6
-    y_nodes: int = 64
-    r_nodes: int = 16
-    cdf_tol: float = 1e-9
+    grid_points: int = SolverSettings.grid_points
+    z_tol: float = SolverSettings.z_tol
+    y_nodes: int = SolverSettings.y_nodes
+    r_nodes: int = SolverSettings.r_nodes
+    cdf_tol: float = SolverSettings.cdf_tol
     n_paths: int = 10000
     seed: int = 42
     out_dir: str = "out"

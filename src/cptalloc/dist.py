@@ -32,6 +32,9 @@ __all__ = [
 # draws are clamped here. At realistic parameters the clamp never binds.
 MIN_RATE = -1.0 + 1e-9
 
+# numpy's hermgauss overflows from 371 nodes; 256 is 4 times the default y_nodes.
+MAX_NODES = 256
+
 
 def _check_finite_scalar(x, name: str) -> float:
     xf = float(x)
@@ -47,6 +50,16 @@ def _check_periods(t, size) -> np.ndarray:
     if tv.ndim and size is not None:
         raise ValueError("size applies to a single period, not an array of periods")
     return tv
+
+
+def _hermite_nodes(loc: float, scale: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for expectations against N(loc, scale**2)."""
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
+    x, w = np.polynomial.hermite.hermgauss(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite node is the solver's to reject
+        nodes = loc + scale * np.sqrt(2.0) * x
+    return nodes, w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -85,12 +98,7 @@ class Normal:
 
     def expectation_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Hermite nodes and weights for expectations against this law."""
-        if n < 1:
-            raise ValueError("node count must be >= 1")
-        x, w = np.polynomial.hermite.hermgauss(n)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite node is the solver's to reject
-            nodes = self.mu + self.sigma * np.sqrt(2.0) * x
-        return nodes, w / w.sum()
+        return _hermite_nodes(self.mu, self.sigma, n)
 
 
 class DiscreteEmpirical:
@@ -290,15 +298,11 @@ class GaussianSqrtTRate:
     def nodes(self, t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         if t < 0:
             raise ValueError("period index must be >= 0")
-        if n < 1:
-            raise ValueError("node count must be >= 1")
         scale = self.vol * np.sqrt(t)
-        if scale == 0.0:
+        if scale == 0.0:  # a point mass needs one node, like DeterministicRate
             return np.array([self.base]), np.array([1.0])
-        x, w = np.polynomial.hermite.hermgauss(n)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite node is the solver's to reject
-            rates = np.maximum(self.base + scale * np.sqrt(2.0) * x, MIN_RATE)
-        return rates, w / w.sum()
+        nodes, w = _hermite_nodes(self.base, scale, n)
+        return np.maximum(nodes, MIN_RATE), w
 
 
 RateModel = DeterministicRate | GaussianSqrtTRate

@@ -18,6 +18,7 @@ from .prefs import CptPreferences
 from .solver import (
     Constraints,
     PolicyTable,
+    fraction_grid,
     terminal_coefficients,
     terminal_stats,
 )
@@ -259,11 +260,6 @@ class DemoReport:
         return "\n".join(lines) + "\n"
 
 
-def _demo_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    # Zero is always admissible and is the tie-break anchor, so force it in.
-    return np.unique(np.concatenate((np.linspace(lo, hi, n), [0.0])))
-
-
 def inconsistency_demo(
     prefs: CptPreferences,
     constraints: Constraints,
@@ -293,8 +289,8 @@ def inconsistency_demo(
             raise ValueError(f"demo rates must be finite and > -1, got {r}")
 
     lo, hi = constraints.lo_frac, constraints.hi_frac
-    zs0 = _demo_grid(lo, hi, grid_points)
-    zs1 = _demo_grid(max(lo, -hi), min(hi, -lo), grid_points)
+    zs0 = fraction_grid(lo, hi, grid_points)
+    zs1 = fraction_grid(max(lo, -hi), min(hi, -lo), grid_points)
     pairs = sorted(
         ((z0, z1) for z0 in zs0 for z1 in zs1),
         key=lambda p: (abs(p[0]) + abs(p[1]), abs(p[1]), abs(p[0]), p[1], p[0]),

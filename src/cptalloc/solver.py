@@ -14,10 +14,11 @@ mirrored interval for negative wealth). Probability distortions act only
 through the terminal statistics, so the inner expectations need no Choquet
 machinery.
 
-Maximization uses a uniform grid scan followed by golden-section refinement:
+Maximization scans a uniform grid plus 0, then refines by golden section:
 the glued power branches make the objective non-concave around the ruin kink,
-so a global scan must precede any local polish. Expectations share one fixed
-node set across all z, keeping the objective smooth in z.
+so a global scan must precede any local polish. Ties go to the least exposure.
+Expectations share one fixed node set across all z, keeping the objective
+smooth in z.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .choquet import cpt_scaled_position
-from .dist import Distribution, RateModel, as_schedule
+from .dist import MAX_NODES, Distribution, RateModel, as_schedule
 from .errors import NumericalError
 from .prefs import CptPreferences
 
@@ -49,8 +50,6 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 CSV_HEADER = "t,A_t,B_t,kStar,kHatStar"
 
-# numpy's hermgauss overflows from 371 nodes; 256 is 4 times the default y_nodes.
-MAX_NODES = 256
 # Entries of recursion_step's grid x nodes tensor: 16 times the default 1001 x 64 x 16.
 MAX_TENSOR = 16 * 1001 * 64 * 16
 
@@ -174,13 +173,19 @@ def terminal_stats(
     )
 
 
-def _pick_corner(candidates: list[tuple[float, float]]) -> tuple[float, float]:
-    # Smallest |z| wins exact ties: least exposure, deterministic output.
-    best = None
-    for z, val in sorted(candidates, key=lambda c: (abs(c[0]), c[0])):
-        if best is None or val > best[1]:
-            best = (z, val)
-    return best
+def fraction_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n uniform points on [lo, hi] plus 0, ascending, with 0 written as +0.
+
+    Zero is always admissible (lo <= 0 < hi) and is the tie-break anchor.
+    """
+    return np.unique(np.append(np.linspace(lo, hi, n), 0.0)) + 0.0
+
+
+def _least_exposure(zs: np.ndarray, vals: np.ndarray, tol: float) -> int:
+    """Index of the optimum: among values within tol of the maximum, the
+    smallest |z|, then the smallest z."""
+    near = np.nonzero(vals >= vals.max() - tol)[0]
+    return near[np.lexsort((zs[near], np.abs(zs[near])))[0]]
 
 
 def terminal_coefficients(
@@ -199,22 +204,20 @@ def terminal_coefficients(
     lo, hi = constraints.lo_frac, constraints.hi_frac
     k, h = stats.long_value, stats.short_value
 
-    g_cands = [(0.0, 0.0), (hi, hi**a * k)]
-    l_cands = [(0.0, 0.0), (-hi, hi**a * k)]
-    if lo < 0.0:
-        g_cands.append((lo, (-lo) ** a * h))
-        l_cands.append((-lo, (-lo) ** a * h))
+    # The mirrored side takes the same corner values at the negated fractions
+    # (0.0 - z, which never gives -0.0).
+    zs = np.array([0.0, hi, lo])
+    zs_hat = 0.0 - zs
+    vals = np.array([0.0, hi**a * k, (-lo) ** a * h])
+    i = _least_exposure(zs, vals, 0.0)
+    j = _least_exposure(zs_hat, vals, 0.0)
+    return PolicyCoefficients(t, float(vals[i]), -float(vals[j]) + 0.0, float(zs[i]), float(zs_hat[j]))
 
-    k_star, a_coef = _pick_corner(g_cands)
-    k_hat_star, l_max = _pick_corner(l_cands)
-    return PolicyCoefficients(t, a_coef, -l_max + 0.0, k_star, k_hat_star)
 
-
-def _finite_max(vals: np.ndarray) -> float:
+def _finite_max(vals: np.ndarray) -> None:
     top = vals.max()
     if not np.isfinite(top):
         raise NumericalError(f"objective maximum is not finite ({top}): values overflow float64")
-    return top
 
 
 def _grid_then_golden(
@@ -226,13 +229,12 @@ def _grid_then_golden(
     """Maximize f on [lo, hi]: global grid scan, then local golden refinement.
 
     Near-equal grid maxima (within z_tol in value) are tie-broken toward the
-    smallest |z|. Refinement is accepted only when it strictly improves.
+    least exposure. Refinement is accepted only when it strictly improves.
     """
-    zs = np.linspace(lo, hi, settings.grid_points)
+    zs = fraction_grid(lo, hi, settings.grid_points)
     vals = f_batch(zs)
-    top = _finite_max(vals)
-    near = np.nonzero(vals >= top - settings.z_tol)[0]
-    i = near[np.lexsort((zs[near], np.abs(zs[near])))[0]]
+    _finite_max(vals)
+    i = _least_exposure(zs, vals, settings.z_tol)
     z_best, v_best = float(zs[i]), float(vals[i])
 
     if settings.refine and hi > lo:

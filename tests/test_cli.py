@@ -335,6 +335,21 @@ class TestMainExitCodes:
 SRC_DIR = Path(cli.__file__).resolve().parent.parent
 
 
+def main_one_blas_thread(tmp_path, text, *argv):
+    """Run main() on the config text in a fresh interpreter; return the out dir.
+
+    The last digits of an active policy depend on the summation order of the
+    BLAS matrix-vector product, hence on its thread count: pin it to one.
+    """
+    (tmp_path / "run.cfg").write_text(text)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC_DIR)}
+    subprocess.run(
+        [sys.executable, "-m", "cptalloc", *argv, "--config", "run.cfg", "--out", "out"],
+        cwd=tmp_path, env=env, check=True, capture_output=True,
+    )
+    return tmp_path / "out"
+
+
 @pytest.mark.parametrize(
     "text, digest",
     [
@@ -345,15 +360,30 @@ SRC_DIR = Path(cli.__file__).resolve().parent.parent
     ids=["active", "zero_policy"],
 )
 def test_solve_artifacts_are_pinned(tmp_path, text, digest):
-    # The last digits of an active policy depend on the summation order of the
-    # BLAS matrix-vector product, hence on its thread count: pin it to one.
-    (tmp_path / "run.cfg").write_text(text)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC_DIR)}
-    subprocess.run(
-        [sys.executable, "-m", "cptalloc", "solve", "--config", "run.cfg", "--out", "out"],
-        cwd=tmp_path, env=env, check=True, capture_output=True,
-    )
-    assert hashlib.sha256((tmp_path / "out" / "policy.csv").read_bytes()).hexdigest() == digest
+    out = main_one_blas_thread(tmp_path, text, "solve")
+    assert hashlib.sha256((out / "policy.csv").read_bytes()).hexdigest() == digest
+
+
+def policy_rows(out):
+    lines = (out / "policy.csv").read_text().splitlines()
+    assert lines[1] == "t,A_t,B_t,kStar,kHatStar"
+    return [line.split(",") for line in lines[2:]]
+
+
+def test_zero_rows_trade_nothing_when_0_is_off_the_uniform_grid(tmp_path):
+    # 401 uniform points on [-5, 1] miss 0; the scan adds it, so a zero row
+    # holds exactly +0 instead of the grid point nearest 0.
+    text = "lo_frac = -5\nhi_frac = 1\ngrid_points = 401\nhorizon = 3\nn_paths = 20\n"
+    out = main_one_blas_thread(tmp_path, text, "simulate", "--seed", "42")
+    assert [row[1:] for row in policy_rows(out)] == [["0", "0", "0", "0"]] * 3
+    trades = [line.split(",")[3] for line in (out / "paths.csv").read_text().splitlines()[1:]]
+    assert len(trades) == 20 * 4
+    assert set(trades) == {"0", ""}  # the terminal row of a path has no trade
+
+
+def test_policy_has_no_negative_zero_when_lo_frac_is_0(tmp_path):
+    out = main_one_blas_thread(tmp_path, "lo_frac = 0.0\nhorizon = 2\ngrid_points = 11\n", "solve")
+    assert policy_rows(out) == [["0", "0", "0", "0", "0"], ["1", "0", "0", "0", "0"]]
 
 
 class TestWorkerCount:

@@ -21,7 +21,7 @@ from cptalloc import (
     terminal_coefficients,
     terminal_stats,
 )
-from cptalloc.solver import _grid_then_golden
+from cptalloc.solver import _grid_then_golden, fraction_grid
 
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 BOUNDS = Constraints(-5.0, 5.0)
@@ -173,7 +173,7 @@ SQRT_T = GaussianSqrtTRate(0.03, 0.003)
         # q = 1 + z changes sign at z = -1, and q = 1 - 0.2*z is exactly 0 at z = 5.
         (BOUNDS, PolicyCoefficients(1, 0.3, -0.1, 0.0, 0.0), DeterministicRate(0.0), SKEWED, 201),
         (Constraints(-0.5, 3.0), ACTIVE_NEXT, SQRT_T, Normal(0.1, 2.0), 201),
-        # 0 is not a point of a 1000-point grid on [-5, 5]: the tie-break picks -5/999.
+        # 0 is not a point of a 1000-point uniform grid on [-5, 5]; the scan adds it.
         (BOUNDS, ZERO_NEXT, SQRT_T, Normal(0.045, 1.69), 1000),
         (Constraints(0.0, 5.0), ZERO_NEXT, SQRT_T, Normal(0.045, 1.69), 1000),
         (Constraints(0.0, 2.0), ZERO_NEXT, DeterministicRate(0.03), SKEWED, 101),
@@ -190,8 +190,20 @@ def test_recursion_step_equals_two_power_reference(
     assert got == want
     assert repr(got) == repr(want)  # also tells -0.0 from 0.0, which policy.csv prints
     if nxt.a_coef == nxt.b_coef == 0.0:
-        assert got.k_star == min(np.linspace(constraints.lo_frac, constraints.hi_frac,
-                                              grid_points), key=lambda z: (abs(z), z))
+        # A flat objective picks the least exposure, exactly +0, on every grid.
+        assert repr((got.k_star, got.k_hat_star)) == "(0.0, 0.0)"
+
+
+@pytest.mark.parametrize(
+    "lo, hi, n, size", [(-5.0, 5.0, 1001, 1001), (-5.0, 1.0, 401, 402), (0.0, 2.0, 11, 11),
+                        (-2.0, -0.0, 11, 11), (-0.0, 1.0, 2, 2)],
+)
+def test_fraction_grid_adds_0_once_as_positive_zero(lo, hi, n, size):
+    zs = fraction_grid(lo, hi, n)
+    assert zs.size == size
+    assert np.all(np.diff(zs) > 0.0)
+    assert [repr(float(z)) for z in zs if z == 0.0] == ["0.0"]
+    assert set(np.linspace(lo, hi, n)) <= set(zs)
 
 
 def enumerate_policy_sequences(prefs, stats, grid, r, y, horizon):

@@ -1,0 +1,34 @@
+"""The benchmark's trace hooks still find the cptalloc names they patch.
+
+perfbench/tracing.py wraps functions, methods and module attributes of
+cptalloc by name; renaming one of them must fail here, not only in a traced
+benchmark run.
+"""
+
+from pathlib import Path
+
+import cptalloc.cli as cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+HORIZON, N_PATHS = 3, 5
+TINY = (f"mu = 0.3\nsigma = 0.5\nhorizon = {HORIZON}\nn_paths = {N_PATHS}\n"
+        "grid_points = 11\ny_nodes = 4\nr_nodes = 4\n")
+
+
+def test_traced_solve_and_simulate_count_their_layers(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg = cli.parse_config(TINY)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        cli.run_solve(cfg, str(tmp_path / "solve"))
+        assert tracer.calls["solver.recursion_step"] == HORIZON - 1
+        cli.run_simulate(cfg, str(tmp_path / "simulate"))
+    assert tracer.calls["solver.recursion_step"] == 2 * (HORIZON - 1)
+    assert tracer.calls["cli.run_solve"] == tracer.calls["cli.run_simulate"] == 1
+    assert tracer.calls["simulate.simulate_paths"] == 1
+    assert tracer.calls["dist.sample"] > 0
+    assert tracer.counters["choquet.quad_neval"] > 0
+    metrics = tracing.layer_metrics(tracer, cli.worker_count())
+    assert metrics["simulate.path_steps"] == (N_PATHS * HORIZON, "count")
