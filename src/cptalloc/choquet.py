@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dist import DiscreteEmpirical, Distribution
 from .errors import NumericalError
@@ -35,6 +34,14 @@ __all__ = ["CptValue", "cpt_discrete", "cpt_cdf", "cpt_scaled_position", "TAIL_M
 TAIL_MASS = 1e-10
 
 _QUAD_LIMIT = 400
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: only Normal laws reach it,
+    and loading scipy.integrate costs more than an atom-only command."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)

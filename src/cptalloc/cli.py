@@ -375,6 +375,8 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
+    if param in ("mu", "sigma") and cfg.atom_file is not None:
+        raise ConfigError(f"cannot sweep {param}: atom_file overrides mu and sigma")
     variants = [_sweep_variant(cfg, param, v) for v in grid]  # validate all first
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:

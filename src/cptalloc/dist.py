@@ -11,11 +11,11 @@ All distribution objects are immutable; RNG streams are owned by their caller.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "Normal",
@@ -34,6 +34,15 @@ MIN_RATE = -1.0 + 1e-9
 
 # numpy's hermgauss overflows from 371 nodes; 256 is 4 times the default y_nodes.
 MAX_NODES = 256
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use: only Normal laws need it, and
+    atom-only commands should not pay for loading scipy."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _check_finite_scalar(x, name: str) -> float:
@@ -79,7 +88,7 @@ class Normal:
         xv = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(xv)):
             raise ValueError("cdf: x must be finite")
-        out = ndtr((xv - self.mu) / self.sigma)
+        out = _special().ndtr((xv - self.mu) / self.sigma)
         return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
     def quantile(self, p):
@@ -87,7 +96,7 @@ class Normal:
         if not (np.all(pv > 0.0) and np.all(pv < 1.0)):
             raise ValueError("quantile: p must lie in (0, 1)")
         with np.errstate(over="ignore"):  # an infinite quantile is the caller's to reject
-            out = self.mu + self.sigma * ndtri(pv)
+            out = self.mu + self.sigma * _special().ndtri(pv)
         return float(out) if np.isscalar(p) or pv.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):

@@ -307,12 +307,21 @@ def inconsistency_demo(
     for r in (r_low, r_high):
         growth = 1.0 + r
         best = None
-        for z0, z1 in pairs:
-            mid_wealth = growth + z0 * yv  # W_1 per first-period outcome, W_0 = 1
-            outcome = growth * z0 * yv[:, None] + z1 * mid_wealth[:, None] * yv[None, :]
-            val = cpt_discrete(prefs, DiscreteEmpirical(outcome.ravel(), prob)).value
-            if best is None or val > best[2]:
-                best = (z0, z1, val)
+        # A non-finite outcome fails DiscreteEmpirical's own check, which is
+        # free here; a second check per pair would cost about 5 % of the demo.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z0, z1 in pairs:
+                mid_wealth = growth + z0 * yv  # W_1 per first-period outcome, W_0 = 1
+                outcome = growth * z0 * yv[:, None] + z1 * mid_wealth[:, None] * yv[None, :]
+                try:
+                    outcomes = DiscreteEmpirical(outcome.ravel(), prob)
+                except ValueError:
+                    if np.isfinite(outcome).all():
+                        raise  # another atom rule failed
+                    raise NumericalError(f"demo outcome is not finite at rate {r!r}") from None
+                val = cpt_discrete(prefs, outcomes).value
+                if best is None or val > best[2]:
+                    best = (z0, z1, val)
         cases.append(
             DemoCase(
                 rate=r,

@@ -205,6 +205,14 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="sweep param"):
             cli.run_sweep(cfg, "beta", ["0.5"])
 
+    @pytest.mark.parametrize("param", ["mu", "sigma"])
+    def test_rejects_param_that_atom_file_overrides(self, tmp_path, param):
+        f = write_atoms(tmp_path)
+        cfg = parse_config(f"atom_file = {f}\nhorizon = 2\nout_dir = {tmp_path}/out")
+        with pytest.raises(ConfigError, match=f"cannot sweep {param}: atom_file overrides"):
+            cli.run_sweep(cfg, param, ["0.1", "0.2"])
+        assert not (tmp_path / "out").exists()
+
     def test_rate_mode_grid(self, tmp_path):
         f = write_atoms(tmp_path)
         cfg = parse_config(f"atom_file = {f}\nhorizon = 2\nout_dir = {tmp_path}/out")
@@ -336,18 +344,19 @@ SRC_DIR = Path(cli.__file__).resolve().parent.parent
 
 
 def main_one_blas_thread(tmp_path, text, *argv):
-    """Run main() on the config text in a fresh interpreter; return the out dir.
+    """Run main() on the config text in a fresh interpreter; return the out
+    dir and the bytes written to stdout.
 
     The last digits of an active policy depend on the summation order of the
     BLAS matrix-vector product, hence on its thread count: pin it to one.
     """
     (tmp_path / "run.cfg").write_text(text)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC_DIR)}
-    subprocess.run(
+    res = subprocess.run(
         [sys.executable, "-m", "cptalloc", *argv, "--config", "run.cfg", "--out", "out"],
         cwd=tmp_path, env=env, check=True, capture_output=True,
     )
-    return tmp_path / "out"
+    return tmp_path / "out", res.stdout
 
 
 @pytest.mark.parametrize(
@@ -360,8 +369,29 @@ def main_one_blas_thread(tmp_path, text, *argv):
     ids=["active", "zero_policy"],
 )
 def test_solve_artifacts_are_pinned(tmp_path, text, digest):
-    out = main_one_blas_thread(tmp_path, text, "solve")
+    out, _ = main_one_blas_thread(tmp_path, text, "solve")
     assert hashlib.sha256((out / "policy.csv").read_bytes()).hexdigest() == digest
+
+
+GAMBLE = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, artifact, digest",
+    [
+        (GAMBLE, ("demo", "--demo-grid", "11"), "demo_report.txt",
+         "37838e049ee173424a0580bb877fba8fbc1c7b1d4131cde33d6e4a80b3af57d7"),
+        (GAMBLE, ("value",), None,
+         "10df5e96abe6e1ee7b9216d3057c1bb2327dd445453cd1347df5584e28d9dcef"),
+        ("", ("value",), None,
+         "8d54430f60e3ddcb2e5e70d3ad148f4eb0b7a6e916ef19d4c928c0968723cbb1"),
+    ],
+    ids=["demo_report", "value_atoms", "value_normal"],
+)
+def test_demo_and_value_outputs_are_pinned(tmp_path, text, argv, artifact, digest):
+    out, stdout = main_one_blas_thread(tmp_path, text, *argv)
+    data = (out / artifact).read_bytes() if artifact else stdout
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def policy_rows(out):
@@ -374,7 +404,7 @@ def test_zero_rows_trade_nothing_when_0_is_off_the_uniform_grid(tmp_path):
     # 401 uniform points on [-5, 1] miss 0; the scan adds it, so a zero row
     # holds exactly +0 instead of the grid point nearest 0.
     text = "lo_frac = -5\nhi_frac = 1\ngrid_points = 401\nhorizon = 3\nn_paths = 20\n"
-    out = main_one_blas_thread(tmp_path, text, "simulate", "--seed", "42")
+    out, _ = main_one_blas_thread(tmp_path, text, "simulate", "--seed", "42")
     assert [row[1:] for row in policy_rows(out)] == [["0", "0", "0", "0"]] * 3
     trades = [line.split(",")[3] for line in (out / "paths.csv").read_text().splitlines()[1:]]
     assert len(trades) == 20 * 4
@@ -382,7 +412,7 @@ def test_zero_rows_trade_nothing_when_0_is_off_the_uniform_grid(tmp_path):
 
 
 def test_policy_has_no_negative_zero_when_lo_frac_is_0(tmp_path):
-    out = main_one_blas_thread(tmp_path, "lo_frac = 0.0\nhorizon = 2\ngrid_points = 11\n", "solve")
+    out, _ = main_one_blas_thread(tmp_path, "lo_frac = 0.0\nhorizon = 2\ngrid_points = 11\n", "solve")
     assert policy_rows(out) == [["0", "0", "0", "0", "0"], ["1", "0", "0", "0", "0"]]
 
 
@@ -520,12 +550,14 @@ def probe_dir(tmp_path, monkeypatch):
         (["solve", "--config", "y_nodes.cfg"], 1),
         (["solve", "--config", "grid.cfg"], 1),
         (["solve", "--config", "atom_tensor.cfg"], 1),
+        (["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--r-high", "1e308"], 2),
+        (["sweep", "--config", str(CONFIG_DIR / "demo.cfg"), "--param", "mu", "--grid", "0.1,0.2"], 1),
     ],
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
          "demo_grid_small", "demo_grid_large", "summary_overflow", "rate_node_overflow",
          "normal_node_overflow", "zero_row_overflow", "y_nodes_bound", "tensor_bound",
-         "atom_tensor_bound"],
+         "atom_tensor_bound", "demo_outcome_overflow", "sweep_overridden_param"],
 )
 def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
     assert cli.main(argv) == code
