@@ -374,6 +374,7 @@ def test_solve_artifacts_are_pinned(tmp_path, text, digest):
 
 
 GAMBLE = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n"
+FOUR_ATOMS = f"atom_file = {CONFIG_DIR.parent / 'perfbench' / 'fixtures' / 'four_atoms.csv'}\n"
 
 
 @pytest.mark.parametrize(
@@ -381,17 +382,33 @@ GAMBLE = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n"
     [
         (GAMBLE, ("demo", "--demo-grid", "11"), "demo_report.txt",
          "37838e049ee173424a0580bb877fba8fbc1c7b1d4131cde33d6e4a80b3af57d7"),
+        # The benchmark's two demos.
+        (GAMBLE, ("demo", "--demo-grid", "31"), "demo_report.txt",
+         "a40cde685dd01281fa3e81be6ecd91b7ce872bf448039ebf42a075b8e3719167"),
+        (FOUR_ATOMS, ("demo", "--demo-grid", "21"), "demo_report.txt",
+         "bc13ed46c5ba54bf85493a4268965fc60e5945fa709865473ac965fc2f9bbae6"),
         (GAMBLE, ("value",), None,
          "10df5e96abe6e1ee7b9216d3057c1bb2327dd445453cd1347df5584e28d9dcef"),
         ("", ("value",), None,
          "8d54430f60e3ddcb2e5e70d3ad148f4eb0b7a6e916ef19d4c928c0968723cbb1"),
     ],
-    ids=["demo_report", "value_atoms", "value_normal"],
+    ids=["demo_report", "demo_report_grid31", "demo_report_four_atoms", "value_atoms",
+         "value_normal"],
 )
 def test_demo_and_value_outputs_are_pinned(tmp_path, text, argv, artifact, digest):
     out, stdout = main_one_blas_thread(tmp_path, text, *argv)
     data = (out / artifact).read_bytes() if artifact else stdout
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_demo_accepts_an_atom_whose_squared_probability_underflows(tmp_path):
+    # 1e-170**2 underflows to 0: that two-period outcome has no representable
+    # mass, and value already accepts the same file.
+    (tmp_path / "rare.csv").write_text("value,probability\n-0.5,1e-170\n0.3,1.0\n")
+    text = f"atom_file = {tmp_path / 'rare.csv'}\n"
+    main_one_blas_thread(tmp_path, text, "value")
+    out, _ = main_one_blas_thread(tmp_path, text, "demo")
+    assert "low.value = " in (out / "demo_report.txt").read_text()
 
 
 def policy_rows(out):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cptalloc import (
     as_schedule,
     backward_induction,
     benchmarked_wealth,
+    cpt_discrete,
     inconsistency_demo,
     optimal_trade,
     simulate_paths,
@@ -24,7 +26,9 @@ from cptalloc import (
     terminal_coefficients,
     terminal_stats,
 )
-from cptalloc.simulate import paths_to_csv, summary_to_csv
+import cptalloc.simulate as simulate
+from cptalloc.simulate import DemoCase, DemoReport, paths_to_csv, summary_to_csv
+from cptalloc.solver import fraction_grid
 
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 BOUNDS = Constraints(-5.0, 5.0)
@@ -331,3 +335,90 @@ class TestInconsistencyDemo:
         big = DiscreteEmpirical(np.linspace(-1, 1, 25), np.full(25, 0.04))
         with pytest.raises(ValueError):
             inconsistency_demo(TK, BOUNDS, big, 0.0, 0.5, 5)
+
+
+FOUR_ATOMS = DiscreteEmpirical([0.6, 0.15, -0.1, -0.35], [0.25, 0.35, 0.25, 0.15])
+TWENTY_ATOMS = DiscreteEmpirical(np.linspace(-0.5, 0.9, 20), np.arange(1, 21) / 210)
+# A rare atom below rounding: the cumulative sum passes 1 before the last
+# atom for some pairs, and cpt_discrete scores those pairs NaN.
+RARE_ATOM = DiscreteEmpirical([0.52, -0.06, 0.68, -0.33, 0.18, 0.45, -3.0], [1 / 6] * 6 + [1e-18])
+
+
+def reference_demo(prefs, constraints, y, r_low, r_high, grid_points):
+    """The per-pair loop the batched demo replaced: one DiscreteEmpirical and
+    one cpt_discrete per fraction pair, in least-exposure order. Returns the
+    per-pair values of each rate and the report."""
+    lo, hi = constraints.lo_frac, constraints.hi_frac
+    zs0 = fraction_grid(lo, hi, grid_points)
+    zs1 = fraction_grid(max(lo, -hi), min(hi, -lo), grid_points)
+    pairs = sorted(
+        ((z0, z1) for z0 in zs0 for z1 in zs1),
+        key=lambda p: (abs(p[0]) + abs(p[1]), abs(p[1]), abs(p[0]), p[1], p[0]),
+    )
+    yv, prob = y.values, np.outer(y.probs, y.probs).ravel()
+    k_star = terminal_coefficients(prefs, constraints, terminal_stats(prefs, y), t=1).k_star
+    values, cases = [], []
+    for r in (r_low, r_high):
+        growth = 1.0 + r
+        vals, best = [], None
+        for z0, z1 in pairs:
+            mid_wealth = growth + z0 * yv
+            outcome = growth * z0 * yv[:, None] + z1 * mid_wealth[:, None] * yv[None, :]
+            val = cpt_discrete(prefs, DiscreteEmpirical(outcome.ravel(), prob)).value
+            vals.append(val)
+            if best is None or val > best[2]:
+                best = (z0, z1, val)
+        values.append(np.array(vals))
+        cases.append(DemoCase(r, float(best[0]), float(best[1]), best[2], k_star))
+    return values, DemoReport(grid_points, *cases)
+
+
+@pytest.mark.parametrize(
+    "y, bounds, grid, r_low, r_high, block_entries",
+    [
+        (SKEWED, BOUNDS, 11, 0.0, 0.5, None),
+        (DiscreteEmpirical([0.3, -0.25], [0.7, 0.3]), BOUNDS, 31, 0.0, 0.5, None),
+        (FOUR_ATOMS, BOUNDS, 21, 0.0, 0.5, None),
+        (FOUR_ATOMS, Constraints(-1.0, 3.0), 21, -0.5, 0.5, 1000),
+        (TWENTY_ATOMS, BOUNDS, 9, -0.5, 0.0, None),
+        (TWENTY_ATOMS, Constraints(-1.0, 3.0), 11, 0.0, 0.5, 1000),
+        (RARE_ATOM, BOUNDS, 5, 0.0, 0.5, None),
+    ],
+    ids=["skewed", "shipped", "four_atoms", "four_atoms_asymmetric_blocks", "twenty_atoms",
+         "twenty_atoms_asymmetric_blocks", "nan_pairs"],
+)
+def test_batched_demo_equals_per_pair_loop(monkeypatch, y, bounds, grid, r_low, r_high,
+                                           block_entries):
+    # Every grid holds 0, so rows with z0 = 0 (n-fold duplicate outcomes) or
+    # z1 = 0 (each first-period outcome n times) are among the pairs. Small
+    # blocks split the pairs into many blocks and a shorter last one.
+    if block_entries:
+        monkeypatch.setattr(simulate, "DEMO_BLOCK_ENTRIES", block_entries)
+    scored = []
+    score_rows = simulate._cpt_discrete_rows
+
+    def recording(prefs, outcome, prob):
+        scored.append(score_rows(prefs, outcome, prob))
+        return scored[-1]
+
+    monkeypatch.setattr(simulate, "_cpt_discrete_rows", recording)
+    report = inconsistency_demo(TK, bounds, y, r_low, r_high, grid)
+    with np.errstate(invalid="ignore"):
+        want_values, want_report = reference_demo(TK, bounds, y, r_low, r_high, grid)
+    got, want = np.concatenate(scored), np.concatenate(want_values)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(want).any() == (y is RARE_ATOM)
+    assert report == want_report
+    assert report.to_text() == want_report.to_text()
+
+
+def test_demo_memory_is_bounded_by_its_block():
+    # Unblocked, the 10201 pairs of 400 outcomes take 33 MB per array.
+    inconsistency_demo(TK, BOUNDS, TWENTY_ATOMS, 0.0, 0.5, 5)  # lazy set-up off the books
+    tracemalloc.start()
+    try:
+        inconsistency_demo(TK, BOUNDS, TWENTY_ATOMS, 0.0, 0.5, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

@@ -32,3 +32,17 @@ def test_traced_solve_and_simulate_count_their_layers(tmp_path, monkeypatch):
     assert tracer.counters["choquet.quad_neval"] > 0
     metrics = tracing.layer_metrics(tracer, cli.worker_count())
     assert metrics["simulate.path_steps"] == (N_PATHS * HORIZON, "count")
+
+
+def test_traced_demo_scores_its_pairs_in_one_batch(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg = cli.parse_config(f"atom_file = {PERFBENCH / 'fixtures' / 'four_atoms.csv'}\n")
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        cli.run_demo(cfg, 0.0, 0.5, 11, str(tmp_path))
+    assert tracer.calls["simulate.inconsistency_demo"] == 1
+    # The atom load and the two terminal legs only: no construction per pair.
+    assert tracer.calls["dist.discrete_new"] <= 3
+    assert tracer.calls["choquet.cpt_discrete"] <= 3
