@@ -67,83 +67,37 @@ def cpt_discrete(prefs: CptPreferences, d: DiscreteEmpirical) -> CptValue:
     losses by increments of the distorted lower-tail probability, each atom
     contributing at its value-function level.
     """
-    v = d.values
-    cum = d.cumulative
-    a, lam = prefs.alpha, prefs.lam
-    upper = 1.0 - np.concatenate(([0.0], cum))  # upper[i] = P(X >= x_i), upper[i+1] = P(X > x_i)
-
-    gain = 0.0
-    pos = np.nonzero(v > 0.0)[0]
-    if pos.size:
-        w_hi = _weight(upper[pos], prefs.gamma)  # distorted P(X >= x_i)
-        w_lo = _weight(upper[pos + 1], prefs.gamma)  # distorted P(X > x_i)
-        gain = float(np.dot(w_hi - w_lo, v[pos] ** a))
-
-    loss = 0.0
-    neg = np.nonzero(v < 0.0)[0]
-    if neg.size:
-        lower = np.concatenate(([0.0], cum))  # lower[i] = P(X < x_i); cum[i] = P(X <= x_i)
-        w_hi = _weight(cum[neg], prefs.delta)
-        w_lo = _weight(lower[neg], prefs.delta)
-        loss = float(lam * np.dot(w_hi - w_lo, (-v[neg]) ** a))
-
-    return CptValue(gain, loss)
+    gain, loss = _cpt_rows(prefs, d.values[None], d.cumulative[None], [d.values.size])
+    return CptValue(float(gain[0]), float(loss[0]))
 
 
-def _cpt_discrete_rows(prefs: CptPreferences, values: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Exact prospect values of many finite distributions on shared probabilities.
+def _cpt_rows(prefs: CptPreferences, values: np.ndarray, cum: np.ndarray, n: list) -> tuple:
+    """Gain and loss legs of finite distributions, one per row.
 
-    Row i of `values` (rows, k) holds the finite outcomes of one distribution;
-    `probs` (k,) holds their probabilities, all > 0 and summing to 1 within
-    1e-12. Each row goes through the IEEE operations of
-    ``cpt_discrete(prefs, DiscreteEmpirical(values[i], probs))`` in the same
-    order, so each entry equals its ``.value`` exactly.
+    `values`, `cum` and the list `n` are as ``dist._merge_rows`` returns
+    them. Each row takes one BLAS dot per leg over contiguous slices, so its
+    legs do not depend on the other rows.
     """
-    rows, k = values.shape
-    order = np.argsort(values, axis=1, kind="stable")
-    v = np.take_along_axis(values, order, axis=1)
-    # Outcome j of a sorted row goes to column col[j] of its distinct values;
-    # add.at merges equal outcomes one by one in sorted order, as np.add.at
-    # does for a single distribution.
-    col = np.zeros((rows, k), dtype=np.intp)
-    np.cumsum(v[:, 1:] != v[:, :-1], axis=1, out=col[:, 1:])
-    flat = (col + k * np.arange(rows)[:, None]).ravel()
-    merged = np.zeros(rows * k)
-    np.add.at(merged, flat, probs[order].ravel())
-    uniq = np.zeros(rows * k)
-    uniq[flat] = v.ravel()  # equal outcomes differ at most in the sign of 0, which scores nothing
-    merged, uniq = merged.reshape(rows, k), uniq.reshape(rows, k)
-    n_uniq = col[:, -1] + 1
-
-    # numpy's pairwise sum associates differently from 8 terms on, so a row
-    # is summed over its own distinct values, never over the padded width.
-    total = np.empty(rows)
-    for n in np.unique(n_uniq):
-        same = n_uniq == n
-        total[same] = merged[same, :n].sum(axis=1)
-    cum = np.cumsum(merged / total[:, None], axis=1)
-    cum[np.arange(k) >= n_uniq[:, None] - 1] = 1.0
+    rows = values.shape[0]
     lower = np.concatenate((np.zeros((rows, 1)), cum), axis=1)  # lower[:, j] = P(X < x_j)
-    w_gain = _weight(1.0 - lower, prefs.gamma)
+    w_gain = _weight(1.0 - lower, prefs.gamma)  # distorted P(X >= x_j)
     w_loss = _weight(lower, prefs.delta)
     d_gain = w_gain[:, :-1] - w_gain[:, 1:]
     d_loss = w_loss[:, 1:] - w_loss[:, :-1]
-    level = np.abs(uniq) ** prefs.alpha
+    level = np.abs(values) ** prefs.alpha
 
-    # One BLAS dot per leg and row, over contiguous slices, as cpt_discrete
-    # makes: a batched sum would associate its terms differently.
     gain = np.zeros(rows)
     loss = np.zeros(rows)
-    n_neg = (uniq < 0.0).sum(axis=1).tolist()  # losses come first in a sorted row
-    first_gain = (n_uniq - (uniq > 0.0).sum(axis=1)).tolist()
-    for i, (neg, pos, end) in enumerate(zip(n_neg, first_gain, n_uniq.tolist())):
+    n_neg = (values < 0.0).sum(axis=1).tolist()  # losses come first in a sorted row
+    first_gain = (n - (values > 0.0).sum(axis=1)).tolist()
+    for i, (neg, pos, end) in enumerate(zip(n_neg, first_gain, n)):
         if pos < end:
             gain[i] = np.dot(d_gain[i, pos:end], level[i, pos:end])
         if neg:
             loss[i] = prefs.lam * np.dot(d_loss[i, :neg], level[i, :neg])
     if (gain < 0.0).any() or (loss < 0.0).any():
         raise ValueError("gain_part and loss_part must be non-negative")
-    return gain - loss
+    return gain, loss
 
 
 def _quad_leg(integrand, s_hi: float, breaks, tol: float, label: str) -> float:

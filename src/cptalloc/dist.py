@@ -71,6 +71,45 @@ def _hermite_nodes(loc: float, scale: float, n: int) -> tuple[np.ndarray, np.nda
     return nodes, w / w.sum()
 
 
+def _merge_rows(values: np.ndarray, probs: np.ndarray):
+    """Sort, merge and normalise the atoms of finite distributions, one per row.
+
+    Row i of `values` (rows, k) holds one distribution's finite outcomes and
+    `probs` (k,) their probabilities. Returns the ascending distinct values,
+    their probabilities and the CDF at them, each (rows, k) with row i padded
+    after its first n[i] entries, and the list n. A row's bytes do not depend
+    on the other rows, so a distribution merges alike alone or in a batch.
+    """
+    rows, k = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    v = np.take_along_axis(values, order, axis=1)
+    new = np.ones((rows, k), dtype=bool)  # the first of each run of equal values
+    np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
+    col = np.cumsum(new, axis=1) - 1
+    n = col[:, -1] + 1
+    flat = (col + k * np.arange(rows)[:, None]).ravel()
+    # add.at merges equal values one by one, in sorted order.
+    merged = np.zeros(rows * k)
+    np.add.at(merged, flat, probs[order].ravel())
+    uniq = np.zeros(rows * k)
+    uniq[flat[new.ravel()]] = v[new]
+    merged, uniq = merged.reshape(rows, k), uniq.reshape(rows, k)
+
+    # numpy's pairwise sum associates differently from 8 terms on, so a row
+    # is summed over its own distinct values, never over the padded width.
+    total = np.empty(rows)
+    for m in np.unique(n):
+        same = n == m
+        total[same] = merged[same, :m].sum(axis=1)
+    merged /= total[:, None]
+    cum = np.cumsum(merged, axis=1)
+    # A rare last atom can leave a partial sum above 1 by rounding; the
+    # distortion of 1 - cum would then be NaN.
+    np.minimum(cum, 1.0, out=cum)
+    cum[np.arange(k) >= n[:, None] - 1] = 1.0
+    return uniq, merged, cum, n.tolist()
+
+
 @dataclass(frozen=True)
 class Normal:
     """Normal distribution with mean mu and standard deviation sigma > 0."""
@@ -114,7 +153,7 @@ class DiscreteEmpirical:
     """Finite distribution with ascending, duplicate-merged atoms.
 
     Probabilities must be positive and sum to 1 within 1e-12; they are
-    renormalized exactly so the cumulative vector ends at 1.0.
+    renormalized, and the cumulative vector is clamped at 1 and ends at 1.0.
     """
 
     __slots__ = ("values", "probs", "_cum", "_cum_padded")
@@ -131,14 +170,8 @@ class DiscreteEmpirical:
         total = p.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities must sum to 1 within 1e-12, got {total!r}")
-        order = np.argsort(v, kind="stable")
-        v, p = v[order], p[order]
-        uniq, inverse = np.unique(v, return_inverse=True)
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inverse, p)
-        merged /= merged.sum()
-        cum = np.cumsum(merged)
-        cum[-1] = 1.0
+        uniq, merged, cum, n = _merge_rows(v[None], p)
+        uniq, merged, cum = uniq[0, :n[0]], merged[0, :n[0]], cum[0, :n[0]]
         padded = np.concatenate(([0.0], cum))
         for arr in (uniq, merged, cum, padded):
             arr.flags.writeable = False
@@ -196,10 +229,10 @@ class DiscreteEmpirical:
         body = [r for r in rows[1:] if r]
         if not body:
             raise ValueError(f"{path}: no atom rows")
-        try:
-            values = [float(r[0]) for r in body]
-            probs = [float(r[1]) for r in body]
-        except (IndexError, ValueError) as exc:
+        try:  # unpacking rejects a row without exactly two fields
+            values = [float(v) for v, _ in body]
+            probs = [float(p) for _, p in body]
+        except ValueError as exc:
             raise ValueError(f"{path}: malformed atom row: {exc}") from exc
         return cls(values, probs)
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choquet import _cpt_discrete_rows
-from .dist import DiscreteEmpirical, RateModel, as_schedule
+from .choquet import _cpt_rows
+from .dist import DiscreteEmpirical, RateModel, _merge_rows, as_schedule
 from .errors import NumericalError
 from .prefs import CptPreferences
 from .solver import (
@@ -324,10 +324,10 @@ def inconsistency_demo(
                 outcome = growth * b0 * y_first + b1 * mid_wealth * y_second
                 if not np.isfinite(outcome).all():
                     raise NumericalError(f"demo outcome is not finite at rate {r!r}")
-                vals[start:start + block] = _cpt_discrete_rows(prefs, outcome, prob)
-        # The first maximum in key order. A pair scored NaN never wins: the
-        # first pair, (0, 0), always scores 0.
-        best = int(np.nanargmax(vals))
+                uniq, _, cum, n_uniq = _merge_rows(outcome, prob)
+                gain, loss = _cpt_rows(prefs, uniq, cum, n_uniq)
+                vals[start:start + block] = gain - loss
+        best = int(np.argmax(vals))  # the first maximum in key order
         cases.append(
             DemoCase(
                 rate=r,

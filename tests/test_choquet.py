@@ -14,6 +14,7 @@ from cptalloc import (
     discretize,
     distort,
 )
+from cptalloc.prefs import _weight
 
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 COIN = DiscreteEmpirical([-1.0, 1.0], [0.5, 0.5])
@@ -190,6 +191,92 @@ class TestScaledPosition:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             cpt_scaled_position(TK, COIN, np.inf)
+
+
+def scalar_reference(values, probs):
+    """DiscreteEmpirical's merge as a standalone scalar routine: stable sort,
+    np.unique, np.add.at, normalise, cumsum ending at 1.0."""
+    v = np.asarray(values, dtype=float).ravel()
+    p = np.asarray(probs, dtype=float).ravel()
+    order = np.argsort(v, kind="stable")
+    v, p = v[order], p[order]
+    uniq, inverse = np.unique(v, return_inverse=True)
+    merged = np.zeros(uniq.size)
+    np.add.at(merged, inverse, p)
+    merged /= merged.sum()
+    cum = np.cumsum(merged)
+    cum[-1] = 1.0
+    return uniq, merged, cum
+
+
+def scalar_reference_value(prefs, v, cum):
+    """The rank-dependent sums of cpt_discrete, written for one distribution."""
+    a, lam = prefs.alpha, prefs.lam
+    upper = 1.0 - np.concatenate(([0.0], cum))
+    gain = 0.0
+    pos = np.nonzero(v > 0.0)[0]
+    if pos.size:
+        w_hi = _weight(upper[pos], prefs.gamma)
+        w_lo = _weight(upper[pos + 1], prefs.gamma)
+        gain = float(np.dot(w_hi - w_lo, v[pos] ** a))
+    loss = 0.0
+    neg = np.nonzero(v < 0.0)[0]
+    if neg.size:
+        lower = np.concatenate(([0.0], cum))
+        w_hi = _weight(cum[neg], prefs.delta)
+        w_lo = _weight(lower[neg], prefs.delta)
+        loss = float(lam * np.dot(w_hi - w_lo, (-v[neg]) ** a))
+    return CptValue(gain, loss)
+
+
+def reference_inputs():
+    """Seeded finite distributions: duplicates, runs of signed zeros, a single
+    atom, all-gain, all-loss and a 10**5-atom draw."""
+    rng = np.random.default_rng(29)
+    cases = [([2.5], [1.0]), ([-0.0], [1.0]), ([0.0, -0.0, 0.0], [0.2, 0.3, 0.5])]
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        cases.append((rng.uniform(-3.0, 3.0, n), rng.dirichlet(np.ones(n))))
+        cases.append((rng.integers(-3, 4, n) * 0.5, rng.dirichlet(np.ones(n))))
+        zeros = rng.choice([-0.0, 0.0, 0.7, -1.3], n)
+        cases.append((zeros, rng.dirichlet(np.ones(n))))
+        cases.append((rng.uniform(0.1, 3.0, n), rng.dirichlet(np.ones(n))))
+        cases.append((-rng.uniform(0.1, 3.0, n), rng.dirichlet(np.ones(n))))
+    n = 10**5
+    cases.append((rng.standard_normal(n).round(3), rng.dirichlet(np.ones(n))))
+    return cases
+
+
+def test_oracle_matches_scalar_reference():
+    for values, probs in reference_inputs():
+        d = DiscreteEmpirical(values, probs)
+        uniq, merged, cum = scalar_reference(values, probs)
+        assert np.array_equal(d.values, uniq)
+        assert np.array_equal(d.probs, merged)
+        assert np.array_equal(d.cumulative, cum)
+        neg_uniq, _, neg_cum = scalar_reference(-uniq, merged)
+        for dist, v, c in ((d, uniq, cum), (d.negate(), neg_uniq, neg_cum)):
+            want = scalar_reference_value(TK, v, c)
+            got = cpt_discrete(TK, dist)
+            if np.isnan(want.value):
+                assert np.isfinite(got.value)
+            else:
+                assert repr(got) == repr(want)
+
+
+def test_rare_top_atom_scores_finite():
+    # Rounding leaves the partial sums above 1 before the 1e-20 atom: the
+    # scalar reference scores the gain leg NaN, the clamped merge does not.
+    values = [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0, 2.0]
+    probs = [0.16666666666666666] * 6 + [1e-20]
+    d = DiscreteEmpirical(values, probs)
+    uniq, merged, cum = scalar_reference(values, probs)
+    assert np.array_equal(d.values, uniq) and np.array_equal(d.probs, merged)
+    assert (cum > 1.0).any()
+    assert np.array_equal(d.cumulative, np.minimum(cum, 1.0))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(scalar_reference_value(TK, uniq, cum).gain_part)
+    assert np.isfinite(cpt_discrete(TK, d).value)
 
 
 def test_refinement_stability():

@@ -411,6 +411,26 @@ def test_demo_accepts_an_atom_whose_squared_probability_underflows(tmp_path):
     assert "low.value = " in (out / "demo_report.txt").read_text()
 
 
+RARE_TOP_ATOM = "value,probability\n" + "".join(
+    f"{v},0.16666666666666666\n" for v in (-1, -0.6, -0.2, 0.2, 0.6, 1)) + "2,1e-20\n"
+
+
+@pytest.mark.parametrize("command", ["value", "demo"])
+def test_rare_top_atom_scores_finite(tmp_path, command):
+    # The cumulative sum passes 1 before the 1e-20 atom; unclamped, the gain
+    # leg was NaN with a RuntimeWarning, and demo failed on its terminal stats.
+    (tmp_path / "rare_top.csv").write_text(RARE_TOP_ATOM)
+    (tmp_path / "run.cfg").write_text("atom_file = rare_top.csv\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC_DIR)}
+    res = subprocess.run([sys.executable, "-m", "cptalloc", command, "--config", "run.cfg",
+                          "--out", "out"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (res.returncode, res.stderr) == (0, "")
+    if command == "value":
+        assert res.stdout.splitlines()[0] == "value = -0.40862129490807053"
+    else:
+        assert "nan" not in (tmp_path / "out" / "demo_report.txt").read_text()
+
+
 def policy_rows(out):
     lines = (out / "policy.csv").read_text().splitlines()
     assert lines[1] == "t,A_t,B_t,kStar,kHatStar"
@@ -539,6 +559,8 @@ def probe_dir(tmp_path, monkeypatch):
     (tmp_path / "atom_tensor.cfg").write_text(
         "atom_file = atoms16k.csv\nrate_model = fixed\nrate = 0.03\nhorizon = 2\ngrid_points = 2000\n"
     )
+    (tmp_path / "extra_field.csv").write_text("value,probability\n0.3,0.7,junk\n-0.25,0.3\n")
+    (tmp_path / "extra_field.cfg").write_text("atom_file = extra_field.csv\n")
     (tmp_path / "a_file").write_text("")
     (tmp_path / "blocked" / "policy.csv").mkdir(parents=True)
     return tmp_path
@@ -569,12 +591,14 @@ def probe_dir(tmp_path, monkeypatch):
         (["solve", "--config", "atom_tensor.cfg"], 1),
         (["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--r-high", "1e308"], 2),
         (["sweep", "--config", str(CONFIG_DIR / "demo.cfg"), "--param", "mu", "--grid", "0.1,0.2"], 1),
+        (["value", "--config", "extra_field.cfg"], 1),
     ],
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
          "demo_grid_small", "demo_grid_large", "summary_overflow", "rate_node_overflow",
          "normal_node_overflow", "zero_row_overflow", "y_nodes_bound", "tensor_bound",
-         "atom_tensor_bound", "demo_outcome_overflow", "sweep_overridden_param"],
+         "atom_tensor_bound", "demo_outcome_overflow", "sweep_overridden_param",
+         "atom_row_extra_field"],
 )
 def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
     assert cli.main(argv) == code

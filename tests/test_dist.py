@@ -102,9 +102,11 @@ class TestFromCsv:
 
     def test_rejects_malformed_row(self, tmp_path):
         f = tmp_path / "atoms.csv"
-        f.write_text("value,probability\n1.0,abc\n")
-        with pytest.raises(ValueError, match="malformed"):
-            DiscreteEmpirical.from_csv(f)
+        for text in ("value,probability\n1.0,abc\n", "value,probability\n1.0\n",
+                     "value,probability\n0.3,0.7,junk\n-0.25,0.3\n"):
+            f.write_text(text)
+            with pytest.raises(ValueError, match="malformed"):
+                DiscreteEmpirical.from_csv(f)
 
 
 class TestDiscretize:

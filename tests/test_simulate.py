@@ -340,7 +340,7 @@ class TestInconsistencyDemo:
 FOUR_ATOMS = DiscreteEmpirical([0.6, 0.15, -0.1, -0.35], [0.25, 0.35, 0.25, 0.15])
 TWENTY_ATOMS = DiscreteEmpirical(np.linspace(-0.5, 0.9, 20), np.arange(1, 21) / 210)
 # A rare atom below rounding: the cumulative sum passes 1 before the last
-# atom for some pairs, and cpt_discrete scores those pairs NaN.
+# atom for some pairs, which scored NaN before the sum was clamped at 1.
 RARE_ATOM = DiscreteEmpirical([0.52, -0.06, 0.68, -0.33, 0.18, 0.45, -3.0], [1 / 6] * 6 + [1e-18])
 
 
@@ -395,19 +395,19 @@ def test_batched_demo_equals_per_pair_loop(monkeypatch, y, bounds, grid, r_low, 
     if block_entries:
         monkeypatch.setattr(simulate, "DEMO_BLOCK_ENTRIES", block_entries)
     scored = []
-    score_rows = simulate._cpt_discrete_rows
+    score_rows = simulate._cpt_rows
 
-    def recording(prefs, outcome, prob):
-        scored.append(score_rows(prefs, outcome, prob))
-        return scored[-1]
+    def recording(prefs, values, cum, n):
+        gain, loss = score_rows(prefs, values, cum, n)
+        scored.append(gain - loss)
+        return gain, loss
 
-    monkeypatch.setattr(simulate, "_cpt_discrete_rows", recording)
+    monkeypatch.setattr(simulate, "_cpt_rows", recording)
     report = inconsistency_demo(TK, bounds, y, r_low, r_high, grid)
-    with np.errstate(invalid="ignore"):
-        want_values, want_report = reference_demo(TK, bounds, y, r_low, r_high, grid)
+    want_values, want_report = reference_demo(TK, bounds, y, r_low, r_high, grid)
     got, want = np.concatenate(scored), np.concatenate(want_values)
     assert np.array_equal(got, want, equal_nan=True)
-    assert np.isnan(want).any() == (y is RARE_ATOM)
+    assert not np.isnan(got).any()
     assert report == want_report
     assert report.to_text() == want_report.to_text()
 

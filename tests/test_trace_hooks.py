@@ -46,3 +46,27 @@ def test_traced_demo_scores_its_pairs_in_one_batch(tmp_path, monkeypatch):
     # The atom load and the two terminal legs only: no construction per pair.
     assert tracer.calls["dist.discrete_new"] <= 3
     assert tracer.calls["choquet.cpt_discrete"] <= 3
+
+
+def test_benchmark_checks_pass_on_demo_and_value(tmp_path, monkeypatch, capsys):
+    # The benchmark recomputes the demo's reported values and value's legs
+    # with cpt_discrete and counts a mismatch as a failed operation.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    import cptalloc
+
+    cfg_file = tmp_path / "four_atoms.cfg"
+    cfg_file.write_text(f"atom_file = {PERFBENCH / 'fixtures' / 'four_atoms.csv'}\n")
+    cfg = cli.load_config(cfg_file)
+    assert cli.main(["demo", "--config", str(cfg_file), "--demo-grid", "11",
+                     "--out", str(tmp_path)]) == 0
+    failures = checks.check_demo(tmp_path / "demo_report.txt", cfg, cptalloc.cpt_discrete,
+                                 cptalloc.DiscreteEmpirical, 11)
+    for amount in (1.0, -2.5):
+        capsys.readouterr()
+        assert cli.main(["value", "--config", str(cfg_file), "--amount", str(amount)]) == 0
+        stdout = tmp_path / "stdout.txt"
+        stdout.write_text(capsys.readouterr().out)
+        failures += checks.check_value(stdout, cfg, amount, cptalloc)
+    assert failures == []
