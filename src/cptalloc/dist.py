@@ -138,8 +138,15 @@ class Normal:
             out = self.mu + self.sigma * _special().ndtri(pv)
         return float(out) if np.isscalar(p) or pv.ndim == 0 else out
 
+    # The Generator method that draws this law's raw numbers.
+    variate = "standard_normal"
+
+    def from_variates(self, z):
+        """The law's draws from standard normal variates z."""
+        return self.mu + self.sigma * z
+
     def sample(self, rng: np.random.Generator, size=None):
-        return self.mu + self.sigma * rng.standard_normal(size)
+        return self.from_variates(rng.standard_normal(size))
 
     def negate(self) -> "Normal":
         return Normal(-self.mu, self.sigma)
@@ -204,9 +211,18 @@ class DiscreteEmpirical:
         out = self.values[idx]
         return float(out) if np.isscalar(p) or pv.ndim == 0 else out
 
+    # The Generator method that draws this law's raw numbers.
+    variate = "random"
+
+    def from_variates(self, u):
+        """The atoms drawn by uniform variates u in [0, 1): Generator.choice's
+        inverse-CDF rule, so sample() equals values[rng.choice(n, size, p=probs)]."""
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        return self.values[cdf.searchsorted(u, side="right")]
+
     def sample(self, rng: np.random.Generator, size=None):
-        idx = rng.choice(self.values.size, size=size, p=self.probs)
-        return self.values[idx]
+        return self.from_variates(rng.random(size))
 
     def negate(self) -> "DiscreteEmpirical":
         return DiscreteEmpirical(-self.values, self.probs)
@@ -285,12 +301,17 @@ class DeterministicRate:
         if not self.r > -1.0:
             raise ValueError(f"rate must be > -1, got {self.r}")
 
+    def variate_mask(self, periods) -> np.ndarray:
+        """Which periods consume a standard normal: none."""
+        return np.zeros(np.shape(periods), dtype=bool)
+
+    def from_variates(self, periods, z) -> np.ndarray:
+        """The rates of the periods, for each index of z's leading axes."""
+        return np.full(np.shape(z)[:-1] + np.shape(periods), float(self.r))
+
     def sample(self, t, rng: np.random.Generator, size=None):
         """The rate of period t, or one rate per entry of an array of periods."""
-        tv = _check_periods(t, size)
-        if tv.ndim:
-            return np.full(tv.shape, self.r)
-        return self.r if size is None else np.full(size, self.r)
+        return _sample_rates(self, t, rng, size)
 
     def nodes(self, t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         if t < 0:
@@ -317,6 +338,19 @@ class GaussianSqrtTRate:
         if not self.vol >= 0.0:
             raise ValueError(f"vol must be >= 0, got {self.vol}")
 
+    def variate_mask(self, periods) -> np.ndarray:
+        """Which periods consume a standard normal: those of non-zero scale."""
+        return self.vol * np.sqrt(periods) != 0.0
+
+    def from_variates(self, periods, z) -> np.ndarray:
+        """The rates of the periods from standard normals z, one per masked
+        period along z's last axis, for each index of its leading axes."""
+        scale = self.vol * np.sqrt(periods)
+        live = self.variate_mask(periods)
+        out = np.full(np.shape(z)[:-1] + np.shape(periods), float(self.base))
+        out[..., live] = np.maximum(self.base + scale[live] * z, MIN_RATE)
+        return out
+
     def sample(self, t, rng: np.random.Generator, size=None):
         """Draw the rate of period t (size draws of it if size is given).
 
@@ -324,18 +358,7 @@ class GaussianSqrtTRate:
         period with a non-zero scale, in the array's order, so the stream
         yields the same rates as one scalar call per period.
         """
-        tv = _check_periods(t, size)
-        scale = self.vol * np.sqrt(tv)
-        if tv.ndim:
-            out = np.full(tv.shape, self.base)
-            live = scale != 0.0
-            draw = self.base + scale[live] * rng.standard_normal(np.count_nonzero(live))
-            out[live] = np.maximum(draw, MIN_RATE)
-            return out
-        if scale == 0.0:
-            return self.base if size is None else np.full(size, self.base)
-        draw = self.base + scale * rng.standard_normal(size)
-        return float(max(draw, MIN_RATE)) if size is None else np.maximum(draw, MIN_RATE)
+        return _sample_rates(self, t, rng, size)
 
     def nodes(self, t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         if t < 0:
@@ -348,3 +371,13 @@ class GaussianSqrtTRate:
 
 
 RateModel = DeterministicRate | GaussianSqrtTRate
+
+
+def _sample_rates(model: RateModel, t, rng: np.random.Generator, size):
+    """A rate model's sample(): its standard normals in one draw, then its
+    transform. A scalar period without size gives a float."""
+    tv = _check_periods(t, size)
+    periods = tv if size is None else np.full(size, tv)
+    z = rng.standard_normal(np.count_nonzero(model.variate_mask(periods)))
+    out = model.from_variates(periods, z)
+    return float(out) if size is None and not tv.ndim else out

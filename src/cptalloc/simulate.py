@@ -7,6 +7,7 @@ are bit-reproducible for a given seed no matter how work is scheduled.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +152,10 @@ def simulate_paths(
     ``y_dist`` is a single distribution or a per-period schedule. Within a
     path, the per-period rates are drawn first (t ascending), then one excess
     return per period (t ascending); this order is part of the
-    reproducibility contract. A stationary schedule draws a path's returns in
-    one call, which yields the same numbers as one call per period.
+    reproducibility contract. Each path's stream fills one row of raw
+    variates with one generator call per run of same-kind variates, which
+    yields the same numbers as one call per variate; the rate model and the
+    laws then transform the raw columns of all paths at once.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -160,15 +163,23 @@ def simulate_paths(
         raise ValueError(f"w0 must be finite, got {w0!r}")
     T = policy.horizon
     schedule = as_schedule(y_dist, T)
-    stationary = all(d is schedule[0] for d in schedule)
     periods = np.arange(T)
 
-    rates = np.empty((n_paths, T))
-    ys = np.empty((n_paths, T))
-    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
+    k = int(np.count_nonzero(rate_model.variate_mask(periods)))
+    runs, start = [], 0
+    for kind, group in itertools.groupby(["standard_normal"] * k + [d.variate for d in schedule]):
+        stop = start + len(list(group))
+        runs.append((kind, slice(start, stop)))
+        start = stop
+    raw = np.empty((n_paths, k + T))
+    for row, stream in zip(raw, np.random.SeedSequence(seed).spawn(n_paths)):
         rng = np.random.default_rng(stream)
-        rates[i] = rate_model.sample(periods, rng)
-        ys[i] = schedule[0].sample(rng, T) if stationary else [d.sample(rng) for d in schedule]
+        for kind, cols in runs:
+            getattr(rng, kind)(out=row[cols])
+    rates = rate_model.from_variates(periods, raw[:, :k])
+    ys = np.empty((n_paths, T))
+    for t, d in enumerate(schedule):
+        ys[:, t] = d.from_variates(raw[:, k + t])
 
     # optimal_trade's branch on the wealth sign and step_wealth, on all paths.
     k_star = [row.k_star for row in policy.rows]

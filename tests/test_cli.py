@@ -365,12 +365,28 @@ def main_one_blas_thread(tmp_path, text, *argv):
         ("mu = 0.3\nsigma = 0.5\nhorizon = 5\n",
          "8758608423e7ee28d61aca4aad5fa7b8e0504ce2353a9ea0bf20be66ccd5df7b"),
         ("horizon = 5\n", "beb9ce355cdf0d6e4b65996cbee6b086694911e8a4d85009aa886c00b0b8acf2"),
+        # Bounds that are not symmetric give the long and short scans different grids.
+        ("mu = 0.3\nsigma = 0.5\nhorizon = 5\nlo_frac = -2\nhi_frac = 4\n",
+         "7756c2146ba13e113603775425ac34e9c0a3c1cc6316ad7c283b5db8f6494dc7"),
     ],
-    ids=["active", "zero_policy"],
+    ids=["active", "zero_policy", "active_asymmetric_bounds"],
 )
 def test_solve_artifacts_are_pinned(tmp_path, text, digest):
     out, _ = main_one_blas_thread(tmp_path, text, "solve")
     assert hashlib.sha256((out / "policy.csv").read_bytes()).hexdigest() == digest
+
+
+def test_simulate_normal_artifacts_are_pinned(tmp_path):
+    # The active Normal fixture with sqrt_t rates: every draw of a path is a
+    # standard normal, rates first, then returns.
+    text = "mu = 0.3\nsigma = 0.5\nhorizon = 5\nn_paths = 50\n"
+    out, _ = main_one_blas_thread(tmp_path, text, "simulate", "--seed", "42")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("paths.csv", "summary.csv")}
+    assert digests == {
+        "paths.csv": "2848e57a81a4be04af2080ab7f0a26c5db1299156d9ec41fe2921b761951cad5",
+        "summary.csv": "a52dd6d2f33a960bb7482b0a347b3d388608c7f2abbcc50f6097971020b05ab3",
+    }
 
 
 GAMBLE = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n"

@@ -80,6 +80,24 @@ class TestDiscreteEmpirical:
         b = COIN.sample(np.random.default_rng(7), 100)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("size", [None, 0, 1, 5, (3, 4)])
+    def test_sample_is_generator_choice(self, size):
+        # 200 laws: single atoms, merged duplicates and tiny probabilities.
+        laws = np.random.default_rng(11)
+        for i in range(200):
+            n = 1 if i % 10 == 0 else int(laws.integers(2, 30))
+            values = laws.integers(-5, 6, n) * 0.1 if i % 3 == 0 else laws.normal(size=n)
+            probs = laws.dirichlet(np.ones(n))
+            if i % 4 == 1 and n > 1:
+                probs[laws.integers(n)] = 10.0 ** -float(laws.integers(10, 300))
+            d = DiscreteEmpirical(values, probs / probs.sum())
+            a, b = np.random.default_rng(i), np.random.default_rng(i)
+            got = d.sample(a, size)
+            want = d.values[b.choice(d.values.size, size, p=d.probs)]
+            assert type(got) is type(want)
+            np.testing.assert_array_equal(got, want, strict=True)
+            assert a.random() == b.random()  # both consumed the same draws
+
     def test_negate(self):
         d = DiscreteEmpirical([-0.2, 1.0], [0.4, 0.6]).negate()
         np.testing.assert_array_equal(d.values, [-1.0, 0.2])

@@ -268,8 +268,13 @@ def reference_ensemble(policy, rate_model, y_dist, w0, n_paths, seed):
         (DeterministicRate(0.03), DiscreteEmpirical([0.5, -0.3], [0.6, 0.4])),
         (GaussianSqrtTRate(0.03, 0.0), MIXED),
         (GaussianSqrtTRate(0.03, 0.02), MIXED),
+        # Rate normals, then uniforms for the atoms: two generator calls a path.
+        (GaussianSqrtTRate(0.03, 0.02), DiscreteEmpirical([0.5, -0.3], [0.6, 0.4])),
+        # No rate draws at all.
+        (DeterministicRate(0.03), Normal(0.05, 0.4)),
     ],
-    ids=["normal_sqrt_t", "atoms_fixed", "mixed_vol_0", "mixed_vol"],
+    ids=["normal_sqrt_t", "atoms_fixed", "mixed_vol_0", "mixed_vol", "atoms_sqrt_t",
+         "normal_fixed"],
 )
 def test_ensemble_matches_scalar_reference(rate_model, y_dist):
     want = reference_ensemble(CROSSING, rate_model, y_dist, 0.8, 25, seed=2024)

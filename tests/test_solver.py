@@ -1,4 +1,6 @@
+import functools
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,8 +137,30 @@ class TestRecursionStep:
             recursion_step(TK, BOUNDS, nxt, DeterministicRate(0.03), SKEWED)
 
 
-def two_power_step(prefs, constraints, nxt, rate_model, y_dist, settings):
-    """Reference recursion step: a full scan of the two-power kernel on every row."""
+def grid_scan(f_batch, lo, hi, settings):
+    zs = fraction_grid(lo, hi, settings.grid_points)
+    return _grid_then_golden(f_batch, zs, f_batch(zs), settings)
+
+
+def two_power(q, a, c_pos, c_neg):
+    """c_pos*max(q, 0)**a + c_neg*max(-q, 0)**a, two powers per entry."""
+    return c_pos * np.maximum(q, 0.0) ** a + c_neg * np.maximum(-q, 0.0) ** a
+
+
+def one_power_in_place(q, a, c_pos, c_neg):
+    """The same entries from one power each, computed in place in q: the
+    kernel as it was before the two scans shared one tensor."""
+    c = np.where(q >= 0.0, c_pos, c_neg)
+    np.abs(q, out=q)
+    q **= a
+    q *= c
+    return q
+
+
+def two_scan_step(kernel, prefs, constraints, nxt, rate_model, y_dist, settings):
+    """Reference recursion step: the long and the short grid scan each build
+    their own (len(zs), nodes) tensor of kernel entries, then take one
+    product with the node weights."""
     a = prefs.alpha
     yv, yw = y_dist.expectation_nodes(settings.y_nodes)
     rv, rw = rate_model.nodes(nxt.t - 1, settings.r_nodes)
@@ -145,18 +169,14 @@ def two_power_step(prefs, constraints, nxt, rate_model, y_dist, settings):
     ww = np.outer(rw, yw).ravel()
 
     def mix_batch(zs, c_pos, c_neg):
-        q = 1.0 + rr[None, :] + np.outer(zs, yy)
-        contrib = c_pos * np.maximum(q, 0.0) ** a + c_neg * np.maximum(-q, 0.0) ** a
-        return contrib @ ww
+        q = np.outer(zs, yy)
+        q += 1.0 + rr
+        return kernel(q, a, c_pos, c_neg) @ ww
 
     a_next, b_next = nxt.a_coef, nxt.b_coef
     lo, hi = constraints.lo_frac, constraints.hi_frac
-    k_star, a_coef = _grid_then_golden(
-        lambda zs: mix_batch(zs, a_next, -b_next), lo, hi, settings
-    )
-    k_hat_star, l_max = _grid_then_golden(
-        lambda zs: mix_batch(zs, -b_next, a_next), -hi, -lo, settings
-    )
+    k_star, a_coef = grid_scan(lambda zs: mix_batch(zs, a_next, -b_next), lo, hi, settings)
+    k_hat_star, l_max = grid_scan(lambda zs: mix_batch(zs, -b_next, a_next), -hi, -lo, settings)
     return PolicyCoefficients(nxt.t - 1, a_coef, -l_max + 0.0, k_star, k_hat_star)
 
 
@@ -186,12 +206,45 @@ def test_recursion_step_equals_two_power_reference(
 ):
     settings = SolverSettings(grid_points=grid_points)
     got = recursion_step(TK, constraints, nxt, rate_model, y_dist, settings)
-    want = two_power_step(TK, constraints, nxt, rate_model, y_dist, settings)
+    want = two_scan_step(two_power, TK, constraints, nxt, rate_model, y_dist, settings)
     assert got == want
     assert repr(got) == repr(want)  # also tells -0.0 from 0.0, which policy.csv prints
     if nxt.a_coef == nxt.b_coef == 0.0:
         # A flat objective picks the least exposure, exactly +0, on every grid.
         assert repr((got.k_star, got.k_hat_star)) == "(0.0, 0.0)"
+
+
+@pytest.mark.parametrize(
+    "rate_model, y_dist",
+    [(SQRT_T, Normal(0.3, 0.5)), (DeterministicRate(0.03), SKEWED), (SQRT_T, SKEWED)],
+    ids=["normal_sqrt_t", "atoms_fixed", "atoms_sqrt_t"],
+)
+def test_symmetric_step_equals_two_scan_reference(rate_model, y_dist):
+    # With lo_frac = -hi_frac both scans run on one grid and share one tensor.
+    settings = SolverSettings(grid_points=201)
+    got = recursion_step(TK, BOUNDS, ACTIVE_NEXT, rate_model, y_dist, settings)
+    want = two_scan_step(one_power_in_place, TK, BOUNDS, ACTIVE_NEXT, rate_model, y_dist, settings)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def traced_peak(step, *args):
+    tracemalloc.start()
+    try:
+        step(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_symmetric_step_peaks_no_higher_than_two_scans():
+    # The default 1001-point grid on 64 x 16 nodes: about 8 MB per tensor.
+    args = (TK, BOUNDS, ACTIVE_NEXT, SQRT_T, Normal(0.3, 0.5), SolverSettings())
+    reference = functools.partial(two_scan_step, one_power_in_place)
+    reference(*args), recursion_step(*args)  # lazy imports and caches first
+    want = traced_peak(reference, *args)
+    assert want > 16e6
+    assert traced_peak(recursion_step, *args) <= want
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,10 @@ benchmark run.
 
 from pathlib import Path
 
+import numpy as np
+
 import cptalloc.cli as cli
+import cptalloc.dist as dist
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HORIZON, N_PATHS = 3, 5
@@ -25,10 +28,17 @@ def test_traced_solve_and_simulate_count_their_layers(tmp_path, monkeypatch):
         cli.run_solve(cfg, str(tmp_path / "solve"))
         assert tracer.calls["solver.recursion_step"] == HORIZON - 1
         cli.run_simulate(cfg, str(tmp_path / "simulate"))
+        # simulate transforms raw variates and calls no sample(); the hook
+        # must still bind on each of the four classes.
+        rng = np.random.default_rng(0)
+        dist.Normal(0.0, 1.0).sample(rng)
+        dist.DiscreteEmpirical([0.0], [1.0]).sample(rng)
+        dist.DeterministicRate(0.03).sample(1, rng)
+        dist.GaussianSqrtTRate(0.03, 0.02).sample(1, rng)
     assert tracer.calls["solver.recursion_step"] == 2 * (HORIZON - 1)
     assert tracer.calls["cli.run_solve"] == tracer.calls["cli.run_simulate"] == 1
     assert tracer.calls["simulate.simulate_paths"] == 1
-    assert tracer.calls["dist.sample"] > 0
+    assert tracer.calls["dist.sample"] == 4
     assert tracer.counters["choquet.quad_neval"] > 0
     metrics = tracing.layer_metrics(tracer, cli.worker_count())
     assert metrics["simulate.path_steps"] == (N_PATHS * HORIZON, "count")
