@@ -293,13 +293,13 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
     return out
 
 
-def _solve_table(cfg: RunConfig) -> PolicyTable:
+def _solve_table(cfg: RunConfig, schedule: list[Distribution]) -> PolicyTable:
     try:
         return backward_induction(
             cfg.preferences(),
             cfg.constraints(),
             cfg.rate_model_obj(),
-            cfg.y_schedule(),
+            schedule,
             cfg.horizon,
             cfg.solver_settings(),
         )
@@ -331,15 +331,16 @@ def _write_policy(cfg: RunConfig, table: PolicyTable, out: Path) -> Path:
 
 def run_solve(cfg: RunConfig, out_dir: str | None = None) -> Path:
     """Solve the policy and write policy.csv with a provenance header."""
-    table = _solve_table(cfg)
+    table = _solve_table(cfg, cfg.y_schedule())
     return _write_policy(cfg, table, _out_dir(cfg, out_dir))
 
 
 def run_simulate(cfg: RunConfig, out_dir: str | None = None) -> list[Path]:
     """Solve, simulate the path ensemble, and write policy/paths/summary CSVs."""
-    table = _solve_table(cfg)
+    schedule = cfg.y_schedule()  # one read of an atom_file serves both
+    table = _solve_table(cfg, schedule)
     paths, summary = simulate_paths(
-        table, cfg.rate_model_obj(), cfg.y_schedule(), cfg.w0, cfg.n_paths, cfg.seed
+        table, cfg.rate_model_obj(), schedule, cfg.w0, cfg.n_paths, cfg.seed
     )
     out = _out_dir(cfg, out_dir)
     written = [_write_policy(cfg, table, out)]
@@ -380,7 +381,7 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
     variants = [_sweep_variant(cfg, param, v) for v in grid]  # validate all first
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        tables = list(pool.map(_solve_table, variants))
+        tables = list(pool.map(lambda v: _solve_table(v, v.y_schedule()), variants))
 
     buf = io.StringIO()
     buf.write("param_value,t,kStar,kHatStar,A_t,B_t\n")

@@ -18,9 +18,10 @@ Maximization scans a uniform grid plus 0, then refines by golden section:
 the glued power branches make the objective non-concave around the ruin kink,
 so a global scan must precede any local polish. Ties go to the least exposure.
 Expectations share one fixed node set across all z, keeping the objective
-smooth in z. With symmetric bounds (lo_frac = -hi_frac) the long and the
-short scan run on one grid, so one |q|**alpha per tensor entry serves both;
-they differ only in the coefficient that the sign of q picks.
+smooth in z. The terminal corner gives A_{T-1} = -B_{T-1} exactly. A next
+row with A = -B makes the long and the mirrored objective one function of z;
+with symmetric bounds (lo_frac = -hi_frac) they also share a grid, so one scan
+gives both optima and the new row again has A = -B. Other rows take two scans.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ CSV_HEADER = "t,A_t,B_t,kStar,kHatStar"
 # Entries of recursion_step's grid x nodes tensor: 16 times the default 1001 x 64 x 16.
 MAX_TENSOR = 16 * 1001 * 64 * 16
 # recursion_step computes the tensor in row blocks of about this many entries,
-# so that only its products are held in full. 64 KB per float block: blocks
-# of 256 KB raised the peak resident set of a two-worker sweep by 1.5 MB in
-# a third of the runs.
+# so that only its coefficient-weighted copy is held in full. 64 KB per float
+# block: blocks of 256 KB raised the peak resident set of a two-worker sweep
+# by 1.5 MB in a third of the runs.
 MIX_BLOCK_ENTRIES = 2**13
 
 
@@ -229,16 +230,18 @@ def _finite_max(vals: np.ndarray) -> None:
 
 def _grid_then_golden(
     f_batch: Callable[[np.ndarray], np.ndarray],
-    zs: np.ndarray,
-    vals: np.ndarray,
+    lo: float,
+    hi: float,
     settings: SolverSettings,
 ) -> tuple[float, float]:
-    """Maximize f from its values vals = f_batch(zs) on a fraction_grid zs:
-    the best grid point, then local golden refinement around it.
+    """Maximize f over [lo, hi]: the best point of fraction_grid(lo, hi),
+    then local golden refinement around it.
 
     Near-equal grid maxima (within z_tol in value) are tie-broken toward the
     least exposure. Refinement is accepted only when it strictly improves.
     """
+    zs = fraction_grid(lo, hi, settings.grid_points)
+    vals = f_batch(zs)
     _finite_max(vals)
     i = _least_exposure(zs, vals, settings.z_tol)
     z_best, v_best = float(zs[i]), float(vals[i])
@@ -305,53 +308,43 @@ def recursion_step(
     ww = np.outer(rw, yw).ravel()
     a_next, b_next = nxt.a_coef, nxt.b_coef
     lo, hi = constraints.lo_frac, constraints.hi_frac
-    g_coefs, l_coefs = (a_next, -b_next), (-b_next, a_next)
 
-    def mix_batch(zs: np.ndarray, *coefs: tuple[float, float]) -> list[np.ndarray]:
-        # For each (c_pos, c_neg): the (len(zs), nodes) matrix of entries
-        # c_pos*max(q, 0)**a + c_neg*max(-q, 0)**a against the node weights.
-        # Each row block of q, its sign and |q|**a serves every pair, with one
-        # power per entry; only the pairs' matrices are full size.
-        prods = [np.empty((zs.size, ww.size)) for _ in coefs]
+    def mix_batch(zs: np.ndarray, c_pos: float, c_neg: float) -> np.ndarray:
+        # The (len(zs), nodes) matrix of entries c_pos*max(q, 0)**a +
+        # c_neg*max(-q, 0)**a against the node weights, built in row blocks
+        # of q with one power per entry; only the product matrix is full size.
+        prod = np.empty((zs.size, ww.size))
         step = max(1, MIX_BLOCK_ENTRIES // ww.size)
         for start in range(0, zs.size, step):
             rows = slice(start, start + step)
             q = np.add(np.multiply.outer(zs[rows], yv)[:, None], growth).reshape(-1, ww.size)
-            pos = q >= 0.0
+            block = prod[rows]
+            block.fill(c_neg)
+            np.copyto(block, c_pos, where=q >= 0.0)
             np.abs(q, out=q)
             q **= a
-            for prod, (c_pos, c_neg) in zip(prods, coefs):
-                block = prod[rows]
-                block.fill(c_neg)
-                np.copyto(block, c_pos, where=pos)
-                block *= q
-        return [prod @ ww for prod in prods]
-
-    def g_batch(zs: np.ndarray) -> np.ndarray:
-        return mix_batch(zs, g_coefs)[0]
-
-    def l_batch(zs: np.ndarray) -> np.ndarray:
-        return mix_batch(zs, l_coefs)[0]
+            block *= q
+        return prod @ ww
 
     # Overflowing powers become inf or nan; _finite_max turns a non-finite
     # maximum into a NumericalError, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        zero_row = a_next == 0.0 and b_next == 0.0
-        if zero_row:
-            # Both objectives are exactly 0 wherever the tensor is finite. q is
-            # affine in z, so an overflow anywhere on a grid shows at its ends.
-            _finite_max(g_batch(np.array([lo, hi, -hi, -lo])))
-            g_batch = l_batch = np.zeros_like
-        zs = fraction_grid(lo, hi, settings.grid_points)
-        if lo == -hi and not zero_row:
-            # Symmetric bounds: both scans run on one grid and share its powers.
-            zs_hat = zs
-            g_vals, l_vals = mix_batch(zs, g_coefs, l_coefs)
+        if a_next == 0.0 and b_next == 0.0:
+            # Both objectives are exactly 0 wherever the tensor is finite, and
+            # the tie-break picks +0 for both. q is affine in z, so an
+            # overflow anywhere on a grid shows at its ends.
+            _finite_max(mix_batch(np.array([lo, hi, -hi, -lo]), a_next, -b_next))
+            return PolicyCoefficients(t, 0.0, 0.0, 0.0, 0.0)
+        k_star, a_coef = _grid_then_golden(
+            lambda zs: mix_batch(zs, a_next, -b_next), lo, hi, settings
+        )
+        if lo == -hi and a_next == -b_next:
+            # The mirrored objective and grid are the long ones.
+            k_hat_star, l_max = k_star, a_coef
         else:
-            zs_hat = fraction_grid(-hi, -lo, settings.grid_points)
-            g_vals, l_vals = g_batch(zs), l_batch(zs_hat)
-        k_star, a_coef = _grid_then_golden(g_batch, zs, g_vals, settings)
-        k_hat_star, l_max = _grid_then_golden(l_batch, zs_hat, l_vals, settings)
+            k_hat_star, l_max = _grid_then_golden(
+                lambda zs: mix_batch(zs, -b_next, a_next), -hi, -lo, settings
+            )
     return PolicyCoefficients(t, a_coef, -l_max + 0.0, k_star, k_hat_star)
 
 

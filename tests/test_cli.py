@@ -321,6 +321,21 @@ class TestMainExitCodes:
         paths_lines = (tmp_path / "out" / "paths.csv").read_text().strip().splitlines()
         assert len(paths_lines) == 1 + 8 * 4
 
+    def test_simulate_reads_the_atom_file_once(self, tmp_path, monkeypatch):
+        # The policy and the paths must come from one read of the law.
+        f = write_atoms(tmp_path)
+        reads = []
+        from_csv = DiscreteEmpirical.from_csv.__func__
+
+        def counting(cls, path):
+            reads.append(path)
+            return from_csv(cls, path)
+
+        monkeypatch.setattr(DiscreteEmpirical, "from_csv", classmethod(counting))
+        cfg = parse_config(f"atom_file = {f}\nhorizon = 3\nn_paths = 8\ngrid_points = 101\n")
+        cli.run_simulate(cfg, str(tmp_path / "out"))
+        assert reads == [str(f)]
+
     def test_simulate_artifacts_are_pinned(self, tmp_path):
         # The active 0.5/-0.2 atom fixture (k_star = 5 each period) at 50
         # paths; any change to the draws, the stepping or the formatting

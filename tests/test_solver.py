@@ -138,8 +138,7 @@ class TestRecursionStep:
 
 
 def grid_scan(f_batch, lo, hi, settings):
-    zs = fraction_grid(lo, hi, settings.grid_points)
-    return _grid_then_golden(f_batch, zs, f_batch(zs), settings)
+    return _grid_then_golden(f_batch, lo, hi, settings)
 
 
 def two_power(q, a, c_pos, c_neg):
@@ -181,6 +180,8 @@ def two_scan_step(kernel, prefs, constraints, nxt, rate_model, y_dist, settings)
 
 
 ACTIVE_NEXT = PolicyCoefficients(2, 2.0, -7.0, 0.0, 0.0)
+# A = -B, as every row of a symmetric-bounds solve has: one scan serves both signs.
+MIRROR_NEXT = PolicyCoefficients(2, 2.0, -2.0, 0.0, 0.0)
 ZERO_NEXT = PolicyCoefficients(2, 0.0, 0.0, 0.0, 0.0)
 SQRT_T = GaussianSqrtTRate(0.03, 0.003)
 
@@ -197,9 +198,14 @@ SQRT_T = GaussianSqrtTRate(0.03, 0.003)
         (BOUNDS, ZERO_NEXT, SQRT_T, Normal(0.045, 1.69), 1000),
         (Constraints(0.0, 5.0), ZERO_NEXT, SQRT_T, Normal(0.045, 1.69), 1000),
         (Constraints(0.0, 2.0), ZERO_NEXT, DeterministicRate(0.03), SKEWED, 101),
+        (BOUNDS, MIRROR_NEXT, SQRT_T, Normal(0.3, 0.5), 201),
+        (BOUNDS, MIRROR_NEXT, DeterministicRate(0.03), SKEWED, 201),
+        # A = -B, but the mirrored interval is another one: two scans.
+        (Constraints(-0.5, 3.0), MIRROR_NEXT, SQRT_T, Normal(0.1, 2.0), 201),
     ],
     ids=["normal_sqrt_t", "atoms_fixed", "q_crosses_zero", "asymmetric_bounds",
-         "zero_row_off_grid", "zero_row_lo_0", "zero_row_atoms_lo_0"],
+         "zero_row_off_grid", "zero_row_lo_0", "zero_row_atoms_lo_0",
+         "mirror_normal_sqrt_t", "mirror_atoms_fixed", "mirror_asymmetric_bounds"],
 )
 def test_recursion_step_equals_two_power_reference(
     constraints, nxt, rate_model, y_dist, grid_points
@@ -220,7 +226,8 @@ def test_recursion_step_equals_two_power_reference(
     ids=["normal_sqrt_t", "atoms_fixed", "atoms_sqrt_t"],
 )
 def test_symmetric_step_equals_two_scan_reference(rate_model, y_dist):
-    # With lo_frac = -hi_frac both scans run on one grid and share one tensor.
+    # Symmetric bounds with A != -B: two scans on one grid, against the
+    # in-place one-power kernel.
     settings = SolverSettings(grid_points=201)
     got = recursion_step(TK, BOUNDS, ACTIVE_NEXT, rate_model, y_dist, settings)
     want = two_scan_step(one_power_in_place, TK, BOUNDS, ACTIVE_NEXT, rate_model, y_dist, settings)
@@ -245,6 +252,50 @@ def test_symmetric_step_peaks_no_higher_than_two_scans():
     want = traced_peak(reference, *args)
     assert want > 16e6
     assert traced_peak(recursion_step, *args) <= want
+
+
+def test_mirror_step_peaks_at_one_scan():
+    # With A = -B on symmetric bounds one scan's product matrix (about 8 MB)
+    # is the whole peak; two scans' tensors held at once would be about 16 MB.
+    args = (TK, BOUNDS, MIRROR_NEXT, SQRT_T, Normal(0.3, 0.5), SolverSettings())
+    reference = functools.partial(two_scan_step, one_power_in_place)
+    reference(*args), recursion_step(*args)  # lazy imports and caches first
+    assert traced_peak(recursion_step, *args) <= 0.6 * traced_peak(reference, *args)
+
+
+def structure_solve(prefs=TK, constraints=BOUNDS):
+    """The mu = 0.3, sigma = 0.5, horizon = 5 run at the default settings."""
+    return backward_induction(prefs, constraints, SQRT_T, Normal(0.3, 0.5), 5).rows
+
+
+def test_symmetric_rows_mirror_and_scale_with_the_terminal_corner():
+    rows = structure_solve()
+    assert rows[-1].a_coef > 0.0  # an active policy, not the all-zero one
+    for row in rows:
+        assert row.a_coef == -row.b_coef
+    for row in rows[:-1]:
+        assert row.k_hat_star == row.k_star
+    # lam, gamma and delta reach the rows only through A_{T-1}: every earlier
+    # optimum stays, and every A_t scales with A_{T-1}.
+    for changed in (
+        CptPreferences(0.88, 1.5, 0.61, 0.69),
+        CptPreferences(0.88, 2.2, 0.45, 0.69),
+        CptPreferences(0.88, 2.2, 0.61, 0.9),
+    ):
+        other = structure_solve(changed)
+        assert other[-1].a_coef != rows[-1].a_coef
+        for row, moved in zip(rows[:-1], other[:-1]):
+            assert (moved.k_star, moved.k_hat_star) == (row.k_star, row.k_hat_star)
+            assert moved.a_coef / other[-1].a_coef == pytest.approx(
+                row.a_coef / rows[-1].a_coef, rel=1e-12
+            )
+
+
+def test_asymmetric_rows_stop_mirroring_after_the_terminal_corner():
+    rows = structure_solve(constraints=Constraints(-1.0, 3.0))
+    assert rows[-1].a_coef == -rows[-1].b_coef
+    for row in rows[:-1]:
+        assert row.a_coef != -row.b_coef
 
 
 @pytest.mark.parametrize(
