@@ -137,10 +137,6 @@ class TestRecursionStep:
             recursion_step(TK, BOUNDS, nxt, DeterministicRate(0.03), SKEWED)
 
 
-def grid_scan(f_batch, lo, hi, settings):
-    return _grid_then_golden(f_batch, lo, hi, settings)
-
-
 def two_power(q, a, c_pos, c_neg):
     """c_pos*max(q, 0)**a + c_neg*max(-q, 0)**a, two powers per entry."""
     return c_pos * np.maximum(q, 0.0) ** a + c_neg * np.maximum(-q, 0.0) ** a
@@ -174,8 +170,12 @@ def two_scan_step(kernel, prefs, constraints, nxt, rate_model, y_dist, settings)
 
     a_next, b_next = nxt.a_coef, nxt.b_coef
     lo, hi = constraints.lo_frac, constraints.hi_frac
-    k_star, a_coef = grid_scan(lambda zs: mix_batch(zs, a_next, -b_next), lo, hi, settings)
-    k_hat_star, l_max = grid_scan(lambda zs: mix_batch(zs, -b_next, a_next), -hi, -lo, settings)
+    k_star, a_coef = _grid_then_golden(
+        lambda zs: mix_batch(zs, a_next, -b_next), lo, hi, settings
+    )
+    k_hat_star, l_max = _grid_then_golden(
+        lambda zs: mix_batch(zs, -b_next, a_next), -hi, -lo, settings
+    )
     return PolicyCoefficients(nxt.t - 1, a_coef, -l_max + 0.0, k_star, k_hat_star)
 
 
