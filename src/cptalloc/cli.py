@@ -14,7 +14,6 @@ import io
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,12 +83,11 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        # Finiteness is checked per key so the message names it. Every range
-        # rule lives in the domain constructors built below.
-        for key in ("alpha", "lambda", "gamma", "delta", "lo_frac", "hi_frac", "mu",
-                    "sigma", "rate", "rate_base", "rate_vol", "w0", "z_tol", "cdf_tol"):
-            val = getattr(self, _SCHEMA[key][0])
-            if val is None:
+        # Finiteness is checked per float key so the message names it. Every
+        # range rule lives in the domain constructors built below.
+        for key, (field_name, cast) in _SCHEMA.items():
+            val = getattr(self, field_name)
+            if cast not in (float, _float_or_schedule) or val is None:
                 continue
             vals = val if isinstance(val, tuple) else (val,)
             _require(all(np.isfinite(v) for v in vals), f"{key} must be finite")
@@ -184,31 +182,13 @@ def _float_or_schedule(s: str):
 _KEY_OF = {"lam": "lambda", "base": "rate_base", "vol": "rate_vol"}
 _DOMAIN_NAME = re.compile(rf"\b({'|'.join(_KEY_OF)})\b")
 
-# key -> (RunConfig field, caster); also fixes the canonical serialization order.
+# key -> (RunConfig field, caster), in field order, which also fixes the
+# canonical serialization order. A key is its field's name as _KEY_OF spells it;
+# a caster is the type of the field's default, except for these fields:
+_CASTS = {"mu": _float_or_schedule, "sigma": _float_or_schedule, "atom_file": str, "rate": float}
 _SCHEMA: dict[str, tuple[str, object]] = {
-    "alpha": ("alpha", float),
-    "lambda": ("lam", float),
-    "gamma": ("gamma", float),
-    "delta": ("delta", float),
-    "lo_frac": ("lo_frac", float),
-    "hi_frac": ("hi_frac", float),
-    "mu": ("mu", _float_or_schedule),
-    "sigma": ("sigma", _float_or_schedule),
-    "atom_file": ("atom_file", str),
-    "rate_model": ("rate_model", str),
-    "rate": ("rate", float),
-    "rate_base": ("rate_base", float),
-    "rate_vol": ("rate_vol", float),
-    "horizon": ("horizon", int),
-    "w0": ("w0", float),
-    "grid_points": ("grid_points", int),
-    "z_tol": ("z_tol", float),
-    "y_nodes": ("y_nodes", int),
-    "r_nodes": ("r_nodes", int),
-    "cdf_tol": ("cdf_tol", float),
-    "n_paths": ("n_paths", int),
-    "seed": ("seed", int),
-    "out_dir": ("out_dir", str),
+    _KEY_OF.get(f.name, f.name): (f.name, _CASTS.get(f.name, type(f.default)))
+    for f in dataclasses.fields(RunConfig)
 }
 
 
@@ -246,7 +226,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     cfg = parse_config(text)
     if cfg.atom_file is not None and not Path(cfg.atom_file).is_absolute():
@@ -308,15 +288,12 @@ def _solve_table(cfg: RunConfig, schedule: list[Distribution]) -> PolicyTable:
 
 
 def worker_count() -> int:
-    """Worker pool size, capped by the CPT_ALLOC_THREADS environment variable."""
-    n = os.cpu_count() or 1
-    cap = os.environ.get("CPT_ALLOC_THREADS")
-    if cap is not None:
-        try:
-            n = min(n, int(cap))
-        except ValueError as exc:
-            raise ConfigError(f"CPT_ALLOC_THREADS must be an integer: {exc}") from exc
-    return max(1, n)
+    """Sweeps solve on the calling thread, so one worker.
+
+    Kept because `perfbench/run.py --trace 1` divides `cli.sweep_pool_eff`
+    by it; it can go once the benchmark drops that metric.
+    """
+    return 1
 
 
 def _write_policy(cfg: RunConfig, table: PolicyTable, out: Path) -> Path:
@@ -379,9 +356,7 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
     if param in ("mu", "sigma") and cfg.atom_file is not None:
         raise ConfigError(f"cannot sweep {param}: atom_file overrides mu and sigma")
     variants = [_sweep_variant(cfg, param, v) for v in grid]  # validate all first
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        tables = list(pool.map(lambda v: _solve_table(v, v.y_schedule()), variants))
+    tables = [_solve_table(v, v.y_schedule()) for v in variants]
 
     buf = io.StringIO()
     buf.write("param_value,t,kStar,kHatStar,A_t,B_t\n")

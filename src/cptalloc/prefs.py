@@ -1,8 +1,7 @@
 """CPT preference primitives: power value function and probability distortions.
 
 Parameters are validated once at construction so the evaluation routines stay
-branch-light inside inner loops. All preference objects are immutable and safe
-to share across workers.
+branch-light inside inner loops. All preference objects are immutable.
 """
 
 from __future__ import annotations

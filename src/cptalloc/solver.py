@@ -57,8 +57,8 @@ CSV_HEADER = "t,A_t,B_t,kStar,kHatStar"
 MAX_TENSOR = 16 * 1001 * 64 * 16
 # recursion_step computes the tensor in row blocks of about this many entries,
 # so that only its coefficient-weighted copy is held in full. 64 KB per float
-# block: blocks of 256 KB raised the peak resident set of a two-worker sweep
-# by 1.5 MB in a third of the runs.
+# block: blocks of 256 KB raised the median peak resident set of a cold
+# `sweep --param rate-mode` on perfbench's active_normal fixture by 0.25 MB.
 MIX_BLOCK_ENTRIES = 2**13
 
 

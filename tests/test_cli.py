@@ -36,6 +36,35 @@ def write_atoms(tmp_path, name="atoms.csv"):
     return f
 
 
+# A config that sets every key, in its canonical text: schema order, shortest
+# float reprs.
+EVERY_KEY = """\
+alpha = 0.5
+lambda = 2.25
+gamma = 0.6
+delta = 0.7
+lo_frac = -1.0
+hi_frac = 2.0
+mu = 0.1,0.2,0.3
+sigma = 0.5,0.25,1.0
+atom_file = atoms.csv
+rate_model = fixed
+rate = 0.04
+rate_base = 0.025
+rate_vol = 0.002
+horizon = 3
+w0 = 1.5
+grid_points = 101
+z_tol = 1e-07
+y_nodes = 32
+r_nodes = 8
+cdf_tol = 1e-10
+n_paths = 12
+seed = 7
+out_dir = runs
+"""
+
+
 class TestParseConfig:
     def test_empty_text_gives_baseline(self):
         cfg = parse_config("")
@@ -91,10 +120,12 @@ class TestParseConfig:
         assert cfg.rate == 0.03
 
     def test_roundtrip_is_idempotent(self):
-        for text in ("lambda = 2.2", "", "alpha = 0.5\nsigma = 0.25\nrate_model = fixed\nrate = 0.01"):
+        for text in ("lambda = 2.2", "", "alpha = 0.5\nsigma = 0.25\nrate_model = fixed\nrate = 0.01",
+                     EVERY_KEY):
             once = serialize_config(parse_config(text))
             twice = serialize_config(parse_config(once))
             assert once == twice
+        assert serialize_config(parse_config(EVERY_KEY)) == EVERY_KEY
 
     def test_load_resolves_relative_atom_file(self, tmp_path):
         write_atoms(tmp_path)
@@ -177,21 +208,25 @@ class TestRunSolve:
 
 class TestRunSweep:
     def test_single_point_matches_solve(self, tmp_path):
+        """Each grid value's block equals a solve of that one variant, in grid order."""
         f = write_atoms(tmp_path)
         base = f"atom_file = {f}\nhorizon = 2\nout_dir = {tmp_path}/out"
         cfg = parse_config(base)
-        sweep_path = cli.run_sweep(cfg, "alpha", ["0.88"])
-        solve_path = cli.run_solve(cfg)
+        grid = ["0.5", "0.88"]
+        sweep_path = cli.run_sweep(cfg, "alpha", grid)
         sweep_rows = [ln.split(",") for ln in sweep_path.read_text().strip().splitlines()[1:]]
-        solve_rows = [ln.split(",") for ln in solve_path.read_text().strip().splitlines()[2:]]
-        assert len(sweep_rows) == len(solve_rows) == 2
-        for srow, prow in zip(sweep_rows, solve_rows):
-            assert srow[0] == "0.88"
-            assert srow[1] == prow[0]  # t
-            assert srow[2] == prow[3]  # kStar
-            assert srow[3] == prow[4]  # kHatStar
-            assert srow[4] == prow[1]  # A_t
-            assert srow[5] == prow[2]  # B_t
+        assert len(sweep_rows) == 2 * len(grid)
+        for i, value in enumerate(grid):
+            solve_path = cli.run_solve(parse_config(f"{base}\nalpha = {value}"))
+            solve_rows = [ln.split(",") for ln in solve_path.read_text().strip().splitlines()[2:]]
+            assert len(solve_rows) == 2
+            for srow, prow in zip(sweep_rows[2 * i:2 * i + 2], solve_rows):
+                assert srow[0] == value
+                assert srow[1] == prow[0]  # t
+                assert srow[2] == prow[3]  # kStar
+                assert srow[3] == prow[4]  # kHatStar
+                assert srow[4] == prow[1]  # A_t
+                assert srow[5] == prow[2]  # B_t
 
     def test_invalid_grid_point_aborts_before_writing(self, tmp_path):
         f = write_atoms(tmp_path)
@@ -484,17 +519,6 @@ def test_policy_has_no_negative_zero_when_lo_frac_is_0(tmp_path):
     assert policy_rows(out) == [["0", "0", "0", "0", "0"], ["1", "0", "0", "0", "0"]]
 
 
-class TestWorkerCount:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("CPT_ALLOC_THREADS", "1")
-        assert cli.worker_count() == 1
-
-    def test_invalid_env_is_config_error(self, monkeypatch):
-        monkeypatch.setenv("CPT_ALLOC_THREADS", "many")
-        with pytest.raises(ConfigError):
-            cli.worker_count()
-
-
 # One bad config per parameter rule. Each must end in exit 1 and a single
 # stderr line that names the offending key as the user wrote it.
 BAD_CONFIGS = [
@@ -592,6 +616,7 @@ def probe_dir(tmp_path, monkeypatch):
     )
     (tmp_path / "extra_field.csv").write_text("value,probability\n0.3,0.7,junk\n-0.25,0.3\n")
     (tmp_path / "extra_field.cfg").write_text("atom_file = extra_field.csv\n")
+    (tmp_path / "not_utf8.cfg").write_bytes(b"mu = 0.3\n\xff\xfe\n")
     (tmp_path / "a_file").write_text("")
     (tmp_path / "blocked" / "policy.csv").mkdir(parents=True)
     return tmp_path
@@ -623,13 +648,14 @@ def probe_dir(tmp_path, monkeypatch):
         (["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--r-high", "1e308"], 2),
         (["sweep", "--config", str(CONFIG_DIR / "demo.cfg"), "--param", "mu", "--grid", "0.1,0.2"], 1),
         (["value", "--config", "extra_field.cfg"], 1),
+        (["solve", "--config", "not_utf8.cfg"], 1),
     ],
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
          "demo_grid_small", "demo_grid_large", "summary_overflow", "rate_node_overflow",
          "normal_node_overflow", "zero_row_overflow", "y_nodes_bound", "tensor_bound",
          "atom_tensor_bound", "demo_outcome_overflow", "sweep_overridden_param",
-         "atom_row_extra_field"],
+         "atom_row_extra_field", "config_not_utf8"],
 )
 def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
     assert cli.main(argv) == code
