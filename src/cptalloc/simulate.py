@@ -2,7 +2,10 @@
 
 Paths evolve by the self-financing step W' = (1+r)*W + v*y with the trade v
 taken from a policy table. Each path owns a spawned RNG stream, so ensembles
-are bit-reproducible for a given seed no matter how work is scheduled.
+are bit-reproducible for a given seed no matter how work is scheduled. The
+streams are exactly the children of SeedSequence(seed).spawn(n_paths), each
+seeded into PCG64 as default_rng seeds it, but their states are computed for
+all paths at once; tests/test_simulate.py checks them against numpy.
 """
 
 from __future__ import annotations
@@ -139,6 +142,74 @@ class EnsembleSummary:
     fraction_mean: np.ndarray
 
 
+# SeedSequence's hash constants and PCG64's LCG multiplier, fixed by numpy's
+# stream-compatibility policy (NEP 19).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _stream_states(seed: int, n: int):
+    """The PCG64 (state, inc) of each child of SeedSequence(seed).spawn(n).
+
+    The children's entropy pools are hashed in uint32 arithmetic, one column
+    per child, and each PCG64 is seeded as numpy seeds it from the child's
+    generate_state(4, uint64). Returns an iterator of int pairs in child order.
+    """
+    # A spawn key (i,) is one uint32 word while i < 2**32, which the CLI's
+    # n_paths <= cli.MAX_PATH_STEPS (2e6) keeps; past it the layout differs.
+    if not 1 <= n <= 2**32:
+        raise ValueError(f"need 1 <= n <= 2**32 streams, got {n}")
+    # The seed's uint32 words, least significant first; 0 is one word.
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # A spawned child pads the seed's words with zeros to the pool size, then
+    # appends its key, so the key always lands after the pool's first mix.
+    entropy = np.zeros((max(len(words), _POOL_SIZE) + 1, n), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(n, dtype=np.uint32)
+
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return out ^ out >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight uint32 words, read in little-endian pairs.
+    const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state.append((value ^ value >> 16).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (state[2 * j] | state[2 * j + 1] << np.uint64(32)
+                                        for j in range(4))
+
+    def pcg64_seeding(s_hi, s_lo, q_hi, q_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        return ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+    return map(pcg64_seeding, seed_hi.tolist(), seed_lo.tolist(), seq_hi.tolist(), seq_lo.tolist())
+
+
 def simulate_paths(
     policy: PolicyTable,
     rate_model: RateModel,
@@ -152,13 +223,17 @@ def simulate_paths(
     ``y_dist`` is a single distribution or a per-period schedule. Within a
     path, the per-period rates are drawn first (t ascending), then one excess
     return per period (t ascending); this order is part of the
-    reproducibility contract. Each path's stream fills one row of raw
-    variates with one generator call per run of same-kind variates, which
-    yields the same numbers as one call per variate; the rate model and the
-    laws then transform the raw columns of all paths at once.
+    reproducibility contract. Each path's stream state is set on one shared
+    generator, which fills the path's row of raw variates with one call per
+    run of same-kind variates; that yields the same numbers as one call per
+    variate. The rate model and the laws then transform the raw columns of
+    all paths at once. ``seed`` must be an integer >= 0.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = int(seed)
     if not np.isfinite(w0):
         raise ValueError(f"w0 must be finite, got {w0!r}")
     T = policy.horizon
@@ -172,10 +247,14 @@ def simulate_paths(
         runs.append((kind, slice(start, stop)))
         start = stop
     raw = np.empty((n_paths, k + T))
-    for row, stream in zip(raw, np.random.SeedSequence(seed).spawn(n_paths)):
-        rng = np.random.default_rng(stream)
-        for kind, cols in runs:
-            getattr(rng, kind)(out=row[cols])
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    fills = [(getattr(rng, kind), cols) for kind, cols in runs]
+    for row, (state, inc) in zip(raw, _stream_states(seed, n_paths)):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        for fill, cols in fills:
+            fill(out=row[cols])
     rates = rate_model.from_variates(periods, raw[:, :k])
     ys = np.empty((n_paths, T))
     for t, d in enumerate(schedule):

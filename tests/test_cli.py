@@ -19,6 +19,7 @@ from cptalloc import (
     ConfigError,
     DiscreteEmpirical,
     NumericalError,
+    PathEnsemble,
     RunConfig,
     load_config,
     parse_config,
@@ -26,6 +27,8 @@ from cptalloc import (
     terminal_coefficients,
     terminal_stats,
 )
+from cptalloc.simulate import paths_to_csv
+from test_simulate import reference_ensemble
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -437,6 +440,21 @@ def test_simulate_normal_artifacts_are_pinned(tmp_path):
         "paths.csv": "2848e57a81a4be04af2080ab7f0a26c5db1299156d9ec41fe2921b761951cad5",
         "summary.csv": "a52dd6d2f33a960bb7482b0a347b3d388608c7f2abbcc50f6097971020b05ab3",
     }
+
+
+def test_simulate_seed_wider_than_64_bits_draws_the_spawned_streams(tmp_path):
+    # 2**64 + 1 is three uint32 words of entropy; the pinned digests use 42.
+    (tmp_path / "atoms.csv").write_text("value,probability\n0.5,0.6\n-0.2,0.4\n")
+    text = "atom_file = atoms.csv\nhorizon = 3\nn_paths = 5\ngrid_points = 101\n"
+    seed = 2**64 + 1
+    out, _ = main_one_blas_thread(tmp_path, text, "simulate", "--seed", str(seed))
+    cfg = load_config(tmp_path / "run.cfg")
+    schedule = cfg.y_schedule()
+    want = reference_ensemble(cli._solve_table(cfg, schedule), cfg.rate_model_obj(), schedule,
+                              cfg.w0, cfg.n_paths, seed)
+    buf = io.StringIO()
+    paths_to_csv(PathEnsemble(*want), buf)
+    assert (out / "paths.csv").read_text() == buf.getvalue()
 
 
 GAMBLE = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n"

@@ -284,6 +284,63 @@ def test_ensemble_matches_scalar_reference(rate_model, y_dist):
         np.testing.assert_array_equal(getattr(paths, name), ref)
 
 
+# Seeds of one to five uint32 words; 2**128 + 1 holds more than the pool's four.
+ORACLE_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 257, 4000])
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_stream_states_equal_numpy_spawned_children(seed, n):
+    want = [np.random.PCG64(child).state["state"]
+            for child in np.random.SeedSequence(seed).spawn(n)]
+    got = [{"state": state, "inc": inc} for state, inc in simulate._stream_states(seed, n)]
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 1])
+def test_wide_seeds_draw_the_reference_ensemble(seed):
+    rate_model = GaussianSqrtTRate(0.03, 0.02)
+    want = reference_ensemble(CROSSING, rate_model, MIXED, 0.8, 257, seed)
+    paths, _ = simulate_paths(CROSSING, rate_model, MIXED, 0.8, 257, seed)
+    for name, ref in zip(("wealth", "trades", "rates", "excess_returns"), want):
+        np.testing.assert_array_equal(getattr(paths, name), ref)
+
+
+def test_stream_states_reject_spawn_keys_wider_than_one_word():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        simulate._stream_states(0, 2**32 + 1)
+
+
+def test_simulate_paths_derives_streams_without_per_path_generators(monkeypatch):
+    want = reference_ensemble(CROSSING, GaussianSqrtTRate(0.03, 0.02), MIXED, 0.8, 25, seed=7)
+
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("SeedSequence.spawn called")
+
+    def no_default_rng(*args, **kwargs):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+    paths, _ = simulate_paths(CROSSING, GaussianSqrtTRate(0.03, 0.02), MIXED, 0.8, 25, seed=7)
+    for name, ref in zip(("wealth", "trades", "rates", "excess_returns"), want):
+        np.testing.assert_array_equal(getattr(paths, name), ref)
+
+
+@pytest.mark.parametrize("seed", [np.int64(2024), np.uint64(2024)])
+def test_numpy_integer_seed_draws_like_the_int(seed):
+    want, _ = simulate_paths(CROSSING, DeterministicRate(0.03), SKEWED, 0.8, 5, seed=2024)
+    got, _ = simulate_paths(CROSSING, DeterministicRate(0.03), SKEWED, 0.8, 5, seed=seed)
+    np.testing.assert_array_equal(got.wealth, want.wealth)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_simulate_paths_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        simulate_paths(CROSSING, DeterministicRate(0.03), SKEWED, 0.8, 5, seed=seed)
+
+
 class TestCsvEmission:
     def test_paths_csv_shape(self, flat_policy):
         paths, summary = simulate_paths(

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cptalloc import (
     Constraints,
@@ -289,6 +291,54 @@ def test_symmetric_rows_mirror_and_scale_with_the_terminal_corner():
             assert moved.a_coef / other[-1].a_coef == pytest.approx(
                 row.a_coef / rows[-1].a_coef, rel=1e-12
             )
+
+
+RETURN_LAWS = st.one_of(
+    st.builds(Normal, st.floats(0.1, 0.5), st.floats(0.2, 0.8)),
+    st.builds(lambda up, down, p: DiscreteEmpirical([up, down], [p, 1.0 - p]),
+              st.floats(0.1, 1.0), st.floats(-0.5, -0.05), st.floats(0.3, 0.7)),
+)
+MILD = CptPreferences(0.88, 1.05, 0.9, 0.9)  # long at the end on most RETURN_LAWS
+# The near-tie tolerance z_tol is absolute in value units, so at the default
+# 1e-6 a flat row objective's least-exposure pick moves with the scale A_{T-1}.
+# A 1e-12 tolerance on the grid alone is free of that scale.
+SCALE_FREE = SolverSettings(grid_points=41, z_tol=1e-12, refine=False)
+INTERIOR = DiscreteEmpirical([0.48, -0.24], [0.35, 0.65])  # rows trade 0.95 of 1
+
+
+def symmetric_rows(prefs, y, hi, solver_settings=SCALE_FREE):
+    return backward_induction(prefs, Constraints(-hi, hi), SQRT_T, y, 3, solver_settings).rows
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(lam=st.floats(1.05, 2.5), gamma=st.floats(0.45, 0.99), delta=st.floats(0.45, 0.99),
+       y=RETURN_LAWS, hi=st.sampled_from([1.0, 2.0, 5.0]))
+@example(lam=1.25, gamma=0.5, delta=0.5, y=INTERIOR, hi=1.0)
+@example(lam=1.25, gamma=0.5, delta=0.5, y=DiscreteEmpirical([0.18, -0.35], [0.67, 0.33]), hi=1.0)
+def test_symmetric_rows_depend_on_lam_gamma_delta_only_through_the_terminal_corner(
+    lam, gamma, delta, y, hi
+):
+    ref = symmetric_rows(MILD, y, hi)
+    rows = symmetric_rows(CptPreferences(0.88, lam, gamma, delta), y, hi)
+    for table in (ref, rows):
+        assert all(row.a_coef == -row.b_coef for row in table)
+        assert all(row.k_hat_star == row.k_star for row in table[:-1])
+        assert table[-1].k_hat_star == 0.0 - table[-1].k_star  # the terminal corners mirror
+    assume(ref[-1].a_coef > 0.0)
+    if rows[-1].a_coef == 0.0:  # staying out at the end stays out throughout
+        assert all(row.a_coef == row.k_star == 0.0 for row in rows)
+        return
+    for row, moved in zip(ref[:-1], rows[:-1]):
+        assert moved.k_star == pytest.approx(row.k_star, rel=1e-12)
+        assert moved.a_coef / rows[-1].a_coef == pytest.approx(row.a_coef / ref[-1].a_coef, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="the default z_tol is an absolute value tolerance")
+def test_default_settings_keep_interior_rows_free_of_the_terminal_scale():
+    loose = SolverSettings(grid_points=41)  # z_tol = 1e-6, with refinement
+    ref = symmetric_rows(MILD, INTERIOR, 1.0, loose)
+    rows = symmetric_rows(CptPreferences(0.88, 1.25, 0.5, 0.5), INTERIOR, 1.0, loose)
+    assert [row.k_star for row in rows[:-1]] == [row.k_star for row in ref[:-1]]
 
 
 def test_asymmetric_rows_stop_mirroring_after_the_terminal_corner():
