@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -235,22 +236,24 @@ class DiscreteEmpirical:
     def from_csv(cls, path) -> "DiscreteEmpirical":
         """Load atoms from a two-column CSV with a 'value,probability' header."""
         path = Path(path)
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ValueError(f"{path}: empty atom file")
-        header = [c.strip().lower() for c in rows[0]]
-        if header != ["value", "probability"]:
-            raise ValueError(f"{path}: expected header 'value,probability', got {rows[0]!r}")
-        body = [r for r in rows[1:] if r]
-        if not body:
+        with path.open(newline="") as fh, warnings.catch_warnings():
+            first = fh.readline()
+            if not first:
+                raise ValueError(f"{path}: empty atom file")
+            header = next(csv.reader([first]))
+            if [c.strip().lower() for c in header] != ["value", "probability"]:
+                raise ValueError(f"{path}: expected header 'value,probability', got {header!r}")
+            # An empty body is reported below; loadtxt's warning would only repeat it.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed atom row: {exc}") from exc
+        if not rows.size:
             raise ValueError(f"{path}: no atom rows")
-        try:  # unpacking rejects a row without exactly two fields
-            values = [float(v) for v, _ in body]
-            probs = [float(p) for _, p in body]
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed atom row: {exc}") from exc
-        return cls(values, probs)
+        if rows.shape[1] != 2:
+            raise ValueError(f"{path}: malformed atom row: {rows.shape[1]} fields, expected 2")
+        return cls(rows[:, 0], rows[:, 1])
 
 
 Distribution = Normal | DiscreteEmpirical

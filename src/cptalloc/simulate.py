@@ -22,6 +22,7 @@ from .prefs import CptPreferences
 from .solver import (
     Constraints,
     PolicyTable,
+    _least_exposure,
     fraction_grid,
     terminal_coefficients,
     terminal_stats,
@@ -365,7 +366,7 @@ def inconsistency_demo(
     For a two-period horizon started at unit wealth, enumerate deterministic
     fraction pairs (z0, z1) on a grid, score the exact outcome distribution of
     the fully-benchmarked terminal wealth under each deterministic rate, and
-    record the precommitted argmax next to the rate-free time-consistent
+    record the precommitted optimum next to the rate-free time-consistent
     last-period fraction. Gaps are reported, not asserted: their size depends
     on the outcome distribution.
 
@@ -385,9 +386,8 @@ def inconsistency_demo(
     zs1 = fraction_grid(max(lo, -hi), min(hi, -lo), grid_points)
     z0 = np.repeat(zs0, zs1.size)
     z1 = np.tile(zs1, zs0.size)
-    # Pairs in least-exposure order, so the first maximum is the least exposed.
-    order = np.lexsort((z0, z1, np.abs(z0), np.abs(z1), np.abs(z0) + np.abs(z1)))
-    z0, z1 = z0[order, None], z1[order, None]
+    # Near-tied scores go to the least exposure: |z0| + |z1|, then |z1|, |z0|, z1, z0.
+    exposure = (np.abs(z0) + np.abs(z1), np.abs(z1), np.abs(z0), z1, z0)
 
     # Outcome i*n + j follows return y_i in period 0 and y_j in period 1. An
     # outcome whose probability underflows to 0 carries no mass and is left
@@ -409,7 +409,7 @@ def inconsistency_demo(
         vals = np.empty(z0.size)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, z0.size, block):
-                b0, b1 = z0[start:start + block], z1[start:start + block]
+                b0, b1 = z0[start:start + block, None], z1[start:start + block, None]
                 mid_wealth = growth + b0 * y_first  # W_1, W_0 = 1
                 outcome = growth * b0 * y_first + b1 * mid_wealth * y_second
                 if not np.isfinite(outcome).all():
@@ -417,14 +417,7 @@ def inconsistency_demo(
                 uniq, _, cum, n_uniq = _merge_rows(outcome, prob)
                 gain, loss = _cpt_rows(prefs, uniq, cum, n_uniq)
                 vals[start:start + block] = gain - loss
-        best = int(np.argmax(vals))  # the first maximum in key order
-        cases.append(
-            DemoCase(
-                rate=r,
-                precommit_z0=float(z0[best, 0]),
-                precommit_z1=float(z1[best, 0]),
-                value=float(vals[best]),
-                time_consistent_k_star=k_star_terminal,
-            )
-        )
+        best = _least_exposure(vals, *exposure)
+        cases.append(DemoCase(rate=r, precommit_z0=float(z0[best]), precommit_z1=float(z1[best]),
+                              value=float(vals[best]), time_consistent_k_star=k_star_terminal))
     return DemoReport(grid_points=grid_points, low=cases[0], high=cases[1])

@@ -16,7 +16,8 @@ machinery.
 
 Maximization scans a uniform grid plus 0, then refines by golden section:
 the glued power branches make the objective non-concave around the ruin kink,
-so a global scan must precede any local polish. Ties go to the least exposure.
+so a global scan must precede any local polish. Values within the relative
+TIE_RTOL of the maximum tie, and the least exposure wins.
 Expectations share one fixed node set across all z, keeping the objective
 smooth in z. The terminal corner gives A_{T-1} = -B_{T-1} exactly. A next
 row with A = -B makes the long and the mirrored objective one function of z;
@@ -49,7 +50,9 @@ __all__ = [
     "optimal_trade",
 ]
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_INVPHI = float((np.sqrt(5.0) - 1.0) / 2.0)  # a float keeps golden points Python floats
+# Values this close are equal up to rounding, as f(z) and f(-z) under a symmetric law.
+TIE_RTOL = 1e-12
 
 CSV_HEADER = "t,A_t,B_t,kStar,kHatStar"
 
@@ -189,11 +192,11 @@ def fraction_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.unique(np.append(np.linspace(lo, hi, n), 0.0)) + 0.0
 
 
-def _least_exposure(zs: np.ndarray, vals: np.ndarray, tol: float) -> int:
-    """Index of the optimum: among values within tol of the maximum, the
-    smallest |z|, then the smallest z."""
-    near = np.nonzero(vals >= vals.max() - tol)[0]
-    return near[np.lexsort((zs[near], np.abs(zs[near])))[0]]
+def _least_exposure(vals: np.ndarray, *keys: np.ndarray) -> int:
+    """Index of the optimum: among values within the relative TIE_RTOL of the
+    maximum (>= 0: 0 is always a candidate), the smallest keys, first key first."""
+    near = np.nonzero(vals >= (1.0 - TIE_RTOL) * vals.max())[0]
+    return near[np.lexsort([key[near] for key in reversed(keys)])[0]]
 
 
 def terminal_coefficients(
@@ -217,8 +220,8 @@ def terminal_coefficients(
     zs = np.array([0.0, hi, lo])
     zs_hat = 0.0 - zs
     vals = np.array([0.0, hi**a * k, (-lo) ** a * h])
-    i = _least_exposure(zs, vals, 0.0)
-    j = _least_exposure(zs_hat, vals, 0.0)
+    i = _least_exposure(vals, np.abs(zs), zs)
+    j = _least_exposure(vals, np.abs(zs_hat), zs_hat)
     return PolicyCoefficients(t, float(vals[i]), -float(vals[j]) + 0.0, float(zs[i]), float(zs_hat[j]))
 
 
@@ -237,13 +240,13 @@ def _grid_then_golden(
     """Maximize f over [lo, hi]: the best point of fraction_grid(lo, hi),
     then local golden refinement around it.
 
-    Near-equal grid maxima (within z_tol in value) are tie-broken toward the
-    least exposure. Refinement is accepted only when it strictly improves.
+    Grid ties go to the least exposure (_least_exposure). Refinement, to
+    z_tol in z, is accepted only when it strictly improves.
     """
     zs = fraction_grid(lo, hi, settings.grid_points)
     vals = f_batch(zs)
     _finite_max(vals)
-    i = _least_exposure(zs, vals, settings.z_tol)
+    i = _least_exposure(vals, np.abs(zs), zs)
     z_best, v_best = float(zs[i]), float(vals[i])
 
     if settings.refine:

@@ -118,12 +118,39 @@ class TestFromCsv:
         with pytest.raises(ValueError, match="header"):
             DiscreteEmpirical.from_csv(f)
 
+    @pytest.mark.parametrize("text", [
+        "value,probability\r\n1.0,0.6\r\n-0.2,0.4\r\n",
+        '"value","probability"\n"1.0","0.6"\n-0.2,"0.4"\n',
+        "value,probability\n\n1.0,0.6\n\n-0.2,0.4\n\n",
+    ], ids=["crlf", "quoted", "blank_lines"])
+    def test_loads_dialects(self, tmp_path, text):
+        f = tmp_path / "atoms.csv"
+        f.write_bytes(text.encode())
+        d = DiscreteEmpirical.from_csv(f)
+        np.testing.assert_array_equal(d.values, [-0.2, 1.0])
+        np.testing.assert_allclose(d.probs, [0.4, 0.6])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty atom file"),
+        ("value,probability\n", "no atom rows"),
+        ("value,probability\n\n\n", "no atom rows"),
+    ])
+    def test_rejects_files_without_atoms_silently(self, tmp_path, text, message):
+        f = tmp_path / "atoms.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            DiscreteEmpirical.from_csv(f)
+
     def test_rejects_malformed_row(self, tmp_path):
         f = tmp_path / "atoms.csv"
-        for text in ("value,probability\n1.0,abc\n", "value,probability\n1.0\n",
-                     "value,probability\n0.3,0.7,junk\n-0.25,0.3\n"):
-            f.write_text(text)
-            with pytest.raises(ValueError, match="malformed"):
+        # Rows of 1 or 3 fields, alone or mixed with rows of 2; `1_0` passes
+        # float() but is no number to numpy's parser.
+        for body in ("1.0,abc\n", "1.0\n", "1.0\n-0.2\n", "0.3,0.7,junk\n-0.25,0.3\n",
+                     "0.3,0.7,0.1\n-0.25,0.3,0.1\n", "0.3,0.7\n-0.25,0.3,0.1\n", "1.0,\n",
+                     "1_0,0.5\n-0.2,0.5\n"):
+            f.write_text("value,probability\n" + body)
+            with pytest.raises(ValueError, match="malformed atom row"):
                 DiscreteEmpirical.from_csv(f)
 
 

@@ -28,7 +28,7 @@ from cptalloc import (
 )
 import cptalloc.simulate as simulate
 from cptalloc.simulate import DemoCase, DemoReport, paths_to_csv, summary_to_csv
-from cptalloc.solver import fraction_grid
+from cptalloc.solver import TIE_RTOL, fraction_grid
 
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 BOUNDS = Constraints(-5.0, 5.0)
@@ -408,30 +408,30 @@ RARE_ATOM = DiscreteEmpirical([0.52, -0.06, 0.68, -0.33, 0.18, 0.45, -3.0], [1 /
 
 def reference_demo(prefs, constraints, y, r_low, r_high, grid_points):
     """The per-pair loop the batched demo replaced: one DiscreteEmpirical and
-    one cpt_discrete per fraction pair, in least-exposure order. Returns the
-    per-pair values of each rate and the report."""
+    one cpt_discrete per fraction pair. All pairs are scored first; the report
+    takes the first pair in least-exposure order whose value is within
+    TIE_RTOL of the best. Returns, per rate, each pair's value keyed by the
+    bytes of its outcome row, and the report."""
     lo, hi = constraints.lo_frac, constraints.hi_frac
     zs0 = fraction_grid(lo, hi, grid_points)
     zs1 = fraction_grid(max(lo, -hi), min(hi, -lo), grid_points)
-    pairs = sorted(
-        ((z0, z1) for z0 in zs0 for z1 in zs1),
-        key=lambda p: (abs(p[0]) + abs(p[1]), abs(p[1]), abs(p[0]), p[1], p[0]),
-    )
+    pairs = [(z0, z1) for z0 in zs0 for z1 in zs1]
     yv, prob = y.values, np.outer(y.probs, y.probs).ravel()
     k_star = terminal_coefficients(prefs, constraints, terminal_stats(prefs, y), t=1).k_star
     values, cases = [], []
     for r in (r_low, r_high):
         growth = 1.0 + r
-        vals, best = [], None
+        scores, by_outcome = {}, {}
         for z0, z1 in pairs:
             mid_wealth = growth + z0 * yv
-            outcome = growth * z0 * yv[:, None] + z1 * mid_wealth[:, None] * yv[None, :]
-            val = cpt_discrete(prefs, DiscreteEmpirical(outcome.ravel(), prob)).value
-            vals.append(val)
-            if best is None or val > best[2]:
-                best = (z0, z1, val)
-        values.append(np.array(vals))
-        cases.append(DemoCase(r, float(best[0]), float(best[1]), best[2], k_star))
+            outcome = (growth * z0 * yv[:, None] + z1 * mid_wealth[:, None] * yv[None, :]).ravel()
+            val = cpt_discrete(prefs, DiscreteEmpirical(outcome, prob)).value
+            scores[z0, z1] = by_outcome[outcome.tobytes()] = val
+        top = max(scores.values())
+        z0, z1 = min((p for p in pairs if scores[p] >= top - TIE_RTOL * top),
+                     key=lambda p: (abs(p[0]) + abs(p[1]), abs(p[1]), abs(p[0]), p[1], p[0]))
+        values.append(by_outcome)
+        cases.append(DemoCase(r, float(z0), float(z1), scores[z0, z1], k_star))
     return values, DemoReport(grid_points, *cases)
 
 
@@ -456,20 +456,29 @@ def test_batched_demo_equals_per_pair_loop(monkeypatch, y, bounds, grid, r_low, 
     # blocks split the pairs into many blocks and a shorter last one.
     if block_entries:
         monkeypatch.setattr(simulate, "DEMO_BLOCK_ENTRIES", block_entries)
-    scored = []
-    score_rows = simulate._cpt_rows
+    outcomes, scored = [], []
+    merge_rows, score_rows = simulate._merge_rows, simulate._cpt_rows
 
-    def recording(prefs, values, cum, n):
+    def merging(outcome, prob):
+        outcomes.append(outcome.copy())
+        return merge_rows(outcome, prob)
+
+    def scoring(prefs, values, cum, n):
         gain, loss = score_rows(prefs, values, cum, n)
         scored.append(gain - loss)
         return gain, loss
 
-    monkeypatch.setattr(simulate, "_cpt_rows", recording)
+    monkeypatch.setattr(simulate, "_merge_rows", merging)
+    monkeypatch.setattr(simulate, "_cpt_rows", scoring)
     report = inconsistency_demo(TK, bounds, y, r_low, r_high, grid)
     want_values, want_report = reference_demo(TK, bounds, y, r_low, r_high, grid)
-    got, want = np.concatenate(scored), np.concatenate(want_values)
-    assert np.array_equal(got, want, equal_nan=True)
+    got = np.concatenate(scored)
     assert not np.isnan(got).any()
+    # Each rate scores every pair, in whatever order; the outcome row names the pair.
+    for want, rows, vals in zip(want_values, np.split(np.concatenate(outcomes), 2), np.split(got, 2)):
+        keys = [row.tobytes() for row in rows]
+        assert set(keys) == set(want)
+        assert [want[key] for key in keys] == vals.tolist()
     assert report == want_report
     assert report.to_text() == want_report.to_text()
 

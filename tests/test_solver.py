@@ -25,7 +25,7 @@ from cptalloc import (
     terminal_coefficients,
     terminal_stats,
 )
-from cptalloc.solver import _grid_then_golden, fraction_grid
+from cptalloc.solver import _grid_then_golden, _least_exposure, fraction_grid
 
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 BOUNDS = Constraints(-5.0, 5.0)
@@ -299,10 +299,8 @@ RETURN_LAWS = st.one_of(
               st.floats(0.1, 1.0), st.floats(-0.5, -0.05), st.floats(0.3, 0.7)),
 )
 MILD = CptPreferences(0.88, 1.05, 0.9, 0.9)  # long at the end on most RETURN_LAWS
-# The near-tie tolerance z_tol is absolute in value units, so at the default
-# 1e-6 a flat row objective's least-exposure pick moves with the scale A_{T-1}.
-# A 1e-12 tolerance on the grid alone is free of that scale.
-SCALE_FREE = SolverSettings(grid_points=41, z_tol=1e-12, refine=False)
+# The grid picks alone; golden refinement moves them within z_tol.
+SCALE_FREE = SolverSettings(grid_points=41, refine=False)
 INTERIOR = DiscreteEmpirical([0.48, -0.24], [0.35, 0.65])  # rows trade 0.95 of 1
 
 
@@ -333,12 +331,57 @@ def test_symmetric_rows_depend_on_lam_gamma_delta_only_through_the_terminal_corn
         assert moved.a_coef / rows[-1].a_coef == pytest.approx(row.a_coef / ref[-1].a_coef, rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="the default z_tol is an absolute value tolerance")
 def test_default_settings_keep_interior_rows_free_of_the_terminal_scale():
-    loose = SolverSettings(grid_points=41)  # z_tol = 1e-6, with refinement
-    ref = symmetric_rows(MILD, INTERIOR, 1.0, loose)
-    rows = symmetric_rows(CptPreferences(0.88, 1.25, 0.5, 0.5), INTERIOR, 1.0, loose)
+    # The rows' values are about 8e-4 here; an absolute 1e-6 tie slack picked
+    # 0.5 under MILD and 0.85 under the other preferences.
+    moved = CptPreferences(0.88, 1.25, 0.5, 0.5)
+    grid = SolverSettings(grid_points=41, refine=False)
+    ref, rows = (symmetric_rows(prefs, INTERIOR, 1.0, grid) for prefs in (MILD, moved))
     assert [row.k_star for row in rows[:-1]] == [row.k_star for row in ref[:-1]]
+    assert [row.k_star for row in ref[:-1]] == pytest.approx([0.95, 0.95], abs=1e-12)
+    refined = SolverSettings(grid_points=41)
+    ref, rows = (symmetric_rows(prefs, INTERIOR, 1.0, refined) for prefs in (MILD, moved))
+    for row, moved_row in zip(ref[:-1], rows[:-1]):
+        assert abs(moved_row.k_star - row.k_star) <= refined.z_tol
+
+
+def test_refined_rows_hold_python_floats():
+    prefs = CptPreferences(0.88, 1.25, 0.5, 0.5)
+    rows = symmetric_rows(prefs, INTERIOR, 1.0, SolverSettings(grid_points=41))
+    grid = fraction_grid(-1.0, 1.0, 41)
+    assert not {rows[0].k_star, rows[1].k_star} & set(grid)  # refinement accepted in both
+    for row in rows:
+        assert type(row.t) is int
+        for value in (row.a_coef, row.b_coef, row.k_star, row.k_hat_star):
+            assert type(value) is float
+
+
+def test_symmetric_law_keeps_its_short_corner_in_every_row():
+    # f(2) and f(-2) differ only in their last bits here; exact ties would
+    # send row 2 long.
+    prefs = CptPreferences(0.88, 1.05, 0.45, 0.99)
+    rows = backward_induction(prefs, Constraints(-2.0, 2.0), DeterministicRate(0.0),
+                              Normal(0.0, 0.5), 4, SolverSettings(grid_points=101)).rows
+    assert [(row.k_star, row.k_hat_star) for row in rows] == [(-2.0, -2.0)] * 4
+
+
+def test_least_exposure_is_scale_free():
+    zs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    vals = np.array([0.9, 1.0 - 1e-13, 0.0, 1.0, 1.0 - 1e-7])
+    # -0.5 and 0.5 tie up to rounding at every scale; the smaller z wins.
+    for scale in (1e-9, 1.0, 1e9):
+        assert _least_exposure(scale * vals, np.abs(zs), zs) == 1
+    assert _least_exposure(np.array([0.0, np.inf, 1.0]), np.abs(zs[:3]), zs[:3]) == 1
+
+
+def test_least_exposure_compares_the_first_key_first():
+    zs = np.array([-1.0, 1.0, 0.5, -0.5])
+    vals = np.ones(4)
+    assert _least_exposure(vals, np.abs(zs), zs) == 3
+    assert _least_exposure(vals, zs, np.abs(zs)) == 0
+    # Pairs tied in value and total exposure |z0| + |z1| go to the smaller |z1|.
+    z0, z1 = np.array([0.5, 1.0, 0.0]), np.array([0.5, 0.0, -1.0])
+    assert _least_exposure(np.zeros(3), np.abs(z0) + np.abs(z1), np.abs(z1), np.abs(z0), z1, z0) == 1
 
 
 def test_asymmetric_rows_stop_mirroring_after_the_terminal_corner():
