@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import io
 import os
 import re
 import sys
@@ -254,7 +253,8 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text: str) -> Path:
+    """Write an artifact's text to path through a temporary file; return path."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text)
@@ -262,6 +262,7 @@ def _write_atomic(path: Path, text: str) -> None:
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
@@ -298,12 +299,8 @@ def worker_count() -> int:
 
 def _write_policy(cfg: RunConfig, table: PolicyTable, out: Path) -> Path:
     """Write policy.csv under a provenance header naming the config hash."""
-    buf = io.StringIO()
-    buf.write(f"# config_sha256 = {config_hash(cfg)}\n")
-    table.to_csv(buf)
-    target = out / "policy.csv"
-    _write_atomic(target, buf.getvalue())
-    return target
+    header = f"# config_sha256 = {config_hash(cfg)}\n"
+    return _write_atomic(out / "policy.csv", header + table.to_csv())
 
 
 def run_solve(cfg: RunConfig, out_dir: str | None = None) -> Path:
@@ -320,18 +317,11 @@ def run_simulate(cfg: RunConfig, out_dir: str | None = None) -> list[Path]:
         table, cfg.rate_model_obj(), schedule, cfg.w0, cfg.n_paths, cfg.seed
     )
     out = _out_dir(cfg, out_dir)
-    written = [_write_policy(cfg, table, out)]
-
-    buf = io.StringIO()
-    paths_to_csv(paths, buf)
-    _write_atomic(out / "paths.csv", buf.getvalue())
-    written.append(out / "paths.csv")
-
-    buf = io.StringIO()
-    summary_to_csv(summary, buf)
-    _write_atomic(out / "summary.csv", buf.getvalue())
-    written.append(out / "summary.csv")
-    return written
+    return [
+        _write_policy(cfg, table, out),
+        _write_atomic(out / "paths.csv", paths_to_csv(paths)),
+        _write_atomic(out / "summary.csv", summary_to_csv(summary)),
+    ]
 
 
 def _sweep_variant(cfg: RunConfig, param: str, value) -> RunConfig:
@@ -358,19 +348,16 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
     variants = [_sweep_variant(cfg, param, v) for v in grid]  # validate all first
     tables = [_solve_table(v, v.y_schedule()) for v in variants]
 
-    buf = io.StringIO()
-    buf.write("param_value,t,kStar,kHatStar,A_t,B_t\n")
+    lines = ["param_value,t,kStar,kHatStar,A_t,B_t\n"]
     for value, table in zip(grid, tables):
         label = value if isinstance(value, str) else f"{float(value):.17g}"
         for row in table.rows:
-            buf.write(
+            lines.append(
                 f"{label},{row.t},{row.k_star:.17g},{row.k_hat_star:.17g},"
                 f"{row.a_coef:.17g},{row.b_coef:.17g}\n"
             )
     safe = param.replace("-", "_")
-    target = _out_dir(cfg, out_dir) / f"sweep_{safe}.csv"
-    _write_atomic(target, buf.getvalue())
-    return target
+    return _write_atomic(_out_dir(cfg, out_dir) / f"sweep_{safe}.csv", "".join(lines))
 
 
 def run_value(cfg: RunConfig, amount: float) -> CptValue:
@@ -399,9 +386,7 @@ def run_demo(
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    target = _out_dir(cfg, out_dir) / "demo_report.txt"
-    _write_atomic(target, report.to_text())
-    return target
+    return _write_atomic(_out_dir(cfg, out_dir) / "demo_report.txt", report.to_text())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -464,12 +449,12 @@ def main(argv=None) -> int:
             print(f"loss_part = {result.loss_part:.17g}")
         elif args.command == "demo":
             print(run_demo(cfg, args.r_low, args.r_high, args.demo_grid, args.out))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigError, NumericalError) as exc:
+        kind, code = ("config error", 1) if isinstance(exc, ConfigError) else ("numerical failure", 2)
+        # One line per error, though some messages (scipy's quad reports) span several.
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        print(f"{kind}: {message}", file=sys.stderr)
+        return code
     return 0
 
 

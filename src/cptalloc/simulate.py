@@ -10,6 +10,7 @@ all paths at once; tests/test_simulate.py checks them against numpy.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -156,23 +157,22 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 def _stream_states(seed: int, n: int):
     """The PCG64 (state, inc) of each child of SeedSequence(seed).spawn(n).
 
-    The children's entropy pools are hashed in uint32 arithmetic, one column
-    per child, and each PCG64 is seeded as numpy seeds it from the child's
+    A child mixes its parent's entropy exactly as the parent does, and only
+    then its spawn key, so numpy's SeedSequence(seed).pool is every child's
+    pool before the key. The key is mixed in uint32 arithmetic, one column per
+    child, and each PCG64 is seeded as numpy seeds it from the child's
     generate_state(4, uint64). Returns an iterator of int pairs in child order.
     """
     # A spawn key (i,) is one uint32 word while i < 2**32, which the CLI's
     # n_paths <= cli.MAX_PATH_STEPS (2e6) keeps; past it the layout differs.
     if not 1 <= n <= 2**32:
         raise ValueError(f"need 1 <= n <= 2**32 streams, got {n}")
-    # The seed's uint32 words, least significant first; 0 is one word.
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # A spawned child pads the seed's words with zeros to the pool size, then
-    # appends its key, so the key always lands after the pool's first mix.
-    entropy = np.zeros((max(len(words), _POOL_SIZE) + 1, n), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(n, dtype=np.uint32)
-
-    const = _INIT_A
+    # The parent's mix advanced the hash constant once per hash: once for each
+    # pool word (its seed words, padded with zeros), once for each ordered
+    # pair of pool words, and POOL_SIZE times for each seed word beyond them.
+    words = max((seed.bit_length() + 31) // 32, 1)  # the seed's uint32 words; 0 is one
+    steps = _POOL_SIZE**2 + _POOL_SIZE * max(words - _POOL_SIZE, 0)
+    const = _INIT_A * pow(_MULT_A, steps, 2**32) & _MASK32
 
     def hashmix(value):
         nonlocal const
@@ -185,14 +185,10 @@ def _stream_states(seed: int, n: int):
         out = x * _MIX_MULT_L - y * _MIX_MULT_R
         return out ^ out >> 16
 
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    pool = list(np.random.SeedSequence(seed).pool[:, None])
+    key = np.arange(n, dtype=np.uint32)
+    for dst in range(_POOL_SIZE):
+        pool[dst] = mix(pool[dst], hashmix(key))
 
     # generate_state(4, uint64): eight uint32 words, read in little-endian pairs.
     const, state = _INIT_B, []
@@ -290,8 +286,8 @@ def simulate_paths(
     return ens, summary
 
 
-def paths_to_csv(paths: PathEnsemble, fh) -> None:
-    """Emit one row per (path, period) plus a terminal-wealth row per path."""
+def paths_to_csv(paths: PathEnsemble) -> str:
+    """The paths.csv text: one row per (path, period) plus a terminal-wealth row per path."""
     T = paths.horizon
     # One template per path; its fields run W_0, v_0, r_0, y_0, W_1, ..., W_T.
     row = "{{0}},{t},{{{f}:.17g}},{{{g}:.17g}},{{{h}:.17g}},{{{k}:.17g}}\n"
@@ -300,17 +296,21 @@ def paths_to_csv(paths: PathEnsemble, fh) -> None:
     template += f"{{0}},{T},{{{4 * T + 1}:.17g}},,,\n"
     per_period = np.stack((paths.wealth[:, :-1], paths.trades, paths.rates, paths.excess_returns), axis=2)
     fields = np.concatenate((per_period.reshape(-1, 4 * T), paths.wealth[:, -1:]), axis=1)
-    fh.write("path,t,W,v,r,y\n")
-    fh.write("".join(template.format(i, *vals) for i, vals in enumerate(fields.tolist())))
+    # One join over a list that holds the header: the multi-MB text is built once.
+    lines = ["path,t,W,v,r,y\n"]
+    lines.extend(template.format(i, *vals) for i, vals in enumerate(fields.tolist()))
+    return "".join(lines)
 
 
-def summary_to_csv(summary: EnsembleSummary, fh) -> None:
-    fh.write(f"t,wealth_mean,{','.join(_QCOLS)},fraction_mean\n")
+def summary_to_csv(summary: EnsembleSummary) -> str:
+    """The summary.csv text: one row of wealth statistics per period 0..T."""
+    lines = [f"t,wealth_mean,{','.join(_QCOLS)},fraction_mean\n"]
     T = summary.fraction_mean.size
     for t in range(T + 1):
         quants = ",".join(f"{summary.wealth_quantiles[q][t]:.17g}" for q in _QUANTS)
         frac = f"{summary.fraction_mean[t]:.17g}" if t < T else ""
-        fh.write(f"{t},{summary.wealth_mean[t]:.17g},{quants},{frac}\n")
+        lines.append(f"{t},{summary.wealth_mean[t]:.17g},{quants},{frac}\n")
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -341,14 +341,10 @@ class DemoReport:
         return abs(self.low.precommit_z1 - self.high.precommit_z1)
 
     def to_text(self) -> str:
+        names = [f.name for f in dataclasses.fields(DemoCase)] + ["gap_vs_time_consistent"]
         lines = [f"grid_points = {self.grid_points}"]
-        for name, case in (("low", self.low), ("high", self.high)):
-            lines.append(f"{name}.rate = {case.rate:.17g}")
-            lines.append(f"{name}.precommit_z0 = {case.precommit_z0:.17g}")
-            lines.append(f"{name}.precommit_z1 = {case.precommit_z1:.17g}")
-            lines.append(f"{name}.value = {case.value:.17g}")
-            lines.append(f"{name}.time_consistent_k_star = {case.time_consistent_k_star:.17g}")
-            lines.append(f"{name}.gap_vs_time_consistent = {case.gap_vs_time_consistent:.17g}")
+        for prefix, case in (("low", self.low), ("high", self.high)):
+            lines.extend(f"{prefix}.{name} = {getattr(case, name):.17g}" for name in names)
         lines.append(f"cross_rate_gap = {self.cross_rate_gap:.17g}")
         return "\n".join(lines) + "\n"
 

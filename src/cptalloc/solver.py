@@ -164,14 +164,15 @@ class PolicyTable:
     def row(self, t: int) -> PolicyCoefficients:
         return self.rows[t]
 
-    def to_csv(self, fh) -> None:
-        """Write the table in the fixed schema t,A_t,B_t,kStar,kHatStar."""
-        fh.write(CSV_HEADER + "\n")
+    def to_csv(self) -> str:
+        """The table as text in the fixed schema t,A_t,B_t,kStar,kHatStar."""
+        lines = [CSV_HEADER + "\n"]
         for row in self.rows:
-            fh.write(
+            lines.append(
                 f"{row.t},{row.a_coef:.17g},{row.b_coef:.17g},"
                 f"{row.k_star:.17g},{row.k_hat_star:.17g}\n"
             )
+        return "".join(lines)
 
 
 def terminal_stats(
@@ -220,6 +221,7 @@ def terminal_coefficients(
     zs = np.array([0.0, hi, lo])
     zs_hat = 0.0 - zs
     vals = np.array([0.0, hi**a * k, (-lo) ** a * h])
+    _finite_max(vals)
     i = _least_exposure(vals, np.abs(zs), zs)
     j = _least_exposure(vals, np.abs(zs_hat), zs_hat)
     return PolicyCoefficients(t, float(vals[i]), -float(vals[j]) + 0.0, float(zs[i]), float(zs_hat[j]))
@@ -373,10 +375,10 @@ def backward_induction(
 
     try:
         stats = terminal_stats(prefs, schedule[-1], settings.cdf_tol)
+        rows = [terminal_coefficients(prefs, constraints, stats, t=horizon - 1)]
     except NumericalError as exc:
         raise NumericalError(f"terminal period {horizon - 1}: {exc}") from exc
 
-    rows = [terminal_coefficients(prefs, constraints, stats, t=horizon - 1)]
     for t in range(horizon - 2, -1, -1):
         try:
             rows.append(

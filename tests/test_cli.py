@@ -27,7 +27,7 @@ from cptalloc import (
     terminal_coefficients,
     terminal_stats,
 )
-from cptalloc.simulate import paths_to_csv
+from cptalloc.simulate import paths_to_csv, simulate_paths, summary_to_csv
 from test_simulate import reference_ensemble
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -452,9 +452,29 @@ def test_simulate_seed_wider_than_64_bits_draws_the_spawned_streams(tmp_path):
     schedule = cfg.y_schedule()
     want = reference_ensemble(cli._solve_table(cfg, schedule), cfg.rate_model_obj(), schedule,
                               cfg.w0, cfg.n_paths, seed)
-    buf = io.StringIO()
-    paths_to_csv(PathEnsemble(*want), buf)
-    assert (out / "paths.csv").read_text() == buf.getvalue()
+    assert (out / "paths.csv").read_text() == paths_to_csv(PathEnsemble(*want))
+
+
+def test_artifact_files_hold_their_writers_text(tmp_path):
+    cfg = parse_config(f"atom_file = {write_atoms(tmp_path)}\nhorizon = 3\nn_paths = 8\n"
+                       "grid_points = 101\n")
+    schedule = cfg.y_schedule()
+    table = cli._solve_table(cfg, schedule)
+    paths, summary = simulate_paths(table, cfg.rate_model_obj(), schedule, cfg.w0, cfg.n_paths,
+                                    cfg.seed)
+    texts = {
+        "policy.csv": f"# config_sha256 = {cli.config_hash(cfg)}\n" + table.to_csv(),
+        "paths.csv": paths_to_csv(paths),
+        "summary.csv": summary_to_csv(summary),
+    }
+    assert all(isinstance(text, str) for text in texts.values())
+    solve_out, simulate_out = tmp_path / "solve", tmp_path / "simulate"
+    assert cli.run_solve(cfg, str(solve_out)) == solve_out / "policy.csv"
+    assert (solve_out / "policy.csv").read_text() == texts["policy.csv"]
+    written = cli.run_simulate(cfg, str(simulate_out))
+    assert written == [simulate_out / name for name in texts]
+    for path in written:
+        assert path.read_text() == texts[path.name]
 
 
 GAMBLE = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n"
@@ -625,6 +645,13 @@ def probe_dir(tmp_path, monkeypatch):
         "mu = 0.3,0.3,0.3\nsigma = 1e308,0.5,0.5\nhorizon = 3\ngrid_points = 101\n"
     )
     (tmp_path / "y_nodes.cfg").write_text("y_nodes = 30000\n")
+    # scipy's quad reports this tolerance's failure in a message of three lines.
+    (tmp_path / "quad_message.cfg").write_text(
+        "mu = 0.3\nsigma = 0.5\nhorizon = 2\ncdf_tol = 1e-300\n"
+    )
+    (tmp_path / "corner_overflow.cfg").write_text(
+        "alpha = 0.99\nmu = 1e300\nlo_frac = -1e308\nhi_frac = 1e308\nhorizon = 1\n"
+    )
     (tmp_path / "grid.cfg").write_text("grid_points = 100000000\n")
     # 2000 grid points x 16384 atoms x 1 rate node: the atom count binds.
     rows = "".join(f"{float(v)!r},{2.0**-14!r}\n" for v in np.linspace(-0.5, 1.0, 2**14))
@@ -667,13 +694,17 @@ def probe_dir(tmp_path, monkeypatch):
         (["sweep", "--config", str(CONFIG_DIR / "demo.cfg"), "--param", "mu", "--grid", "0.1,0.2"], 1),
         (["value", "--config", "extra_field.cfg"], 1),
         (["solve", "--config", "not_utf8.cfg"], 1),
+        (["solve", "--config", "quad_message.cfg"], 2),
+        (["value", "--config", "quad_message.cfg"], 2),
+        (["solve", "--config", "corner_overflow.cfg"], 2),
     ],
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
          "demo_grid_small", "demo_grid_large", "summary_overflow", "rate_node_overflow",
          "normal_node_overflow", "zero_row_overflow", "y_nodes_bound", "tensor_bound",
          "atom_tensor_bound", "demo_outcome_overflow", "sweep_overridden_param",
-         "atom_row_extra_field", "config_not_utf8"],
+         "atom_row_extra_field", "config_not_utf8", "quad_message_solve", "quad_message_value",
+         "terminal_corner_overflow"],
 )
 def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
     assert cli.main(argv) == code

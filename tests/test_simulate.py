@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -284,8 +283,10 @@ def test_ensemble_matches_scalar_reference(rate_model, y_dist):
         np.testing.assert_array_equal(getattr(paths, name), ref)
 
 
-# Seeds of one to five uint32 words; 2**128 + 1 holds more than the pool's four.
-ORACLE_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1]
+# Seeds of one to seven uint32 words. 2**128 + 1 (five) and 2**200 + 12345
+# (seven) hold more than the pool's four, so the number of hash-constant steps
+# before the spawn key depends on their width.
+ORACLE_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1, 2**200 + 12345]
 
 
 @pytest.mark.parametrize("n", [1, 2, 257, 4000])
@@ -346,16 +347,12 @@ class TestCsvEmission:
         paths, summary = simulate_paths(
             flat_policy, DeterministicRate(0.03), Normal(0.045, 1.69), 0.8, 3, seed=2
         )
-        buf = io.StringIO()
-        paths_to_csv(paths, buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = paths_to_csv(paths).strip().splitlines()
         assert lines[0] == "path,t,W,v,r,y"
         assert len(lines) == 1 + 3 * 11
         assert lines[11].endswith(",,,")  # terminal row carries wealth only
 
-        buf = io.StringIO()
-        summary_to_csv(summary, buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = summary_to_csv(summary).strip().splitlines()
         assert lines[0].startswith("t,wealth_mean,wealth_q05")
         assert len(lines) == 12
 

@@ -1,5 +1,4 @@
 import functools
-import io
 import tracemalloc
 
 import numpy as np
@@ -14,6 +13,7 @@ from cptalloc import (
     DiscreteEmpirical,
     GaussianSqrtTRate,
     Normal,
+    NumericalError,
     PolicyCoefficients,
     PolicyTable,
     SolverSettings,
@@ -102,6 +102,16 @@ class TestTerminalCoefficients:
             slack = dz**alpha * max(abs(stats.long_value), abs(stats.short_value), 1.0)
             assert g_max - 1e-12 <= row.a_coef <= g_max + slack
             assert -l_max - slack <= row.b_coef <= -l_max + 1e-12
+
+    def test_overflowing_corner_is_a_numerical_error(self):
+        # Finite stats and bounds whose corner value hi**alpha * long_value overflows.
+        prefs = CptPreferences(0.99, 2.2, 0.61, 0.69)
+        wide = Constraints(-1e308, 1e308)
+        with pytest.raises(NumericalError, match="not finite"):
+            terminal_coefficients(prefs, wide, TerminalStats(1e300, -1.0))
+        huge = DiscreteEmpirical([1e300], [1.0])
+        with pytest.raises(NumericalError, match="^terminal period 0: "):
+            backward_induction(prefs, wide, DeterministicRate(0.03), huge, 1)
 
 
 class TestRecursionStep:
@@ -574,9 +584,7 @@ class TestPolicyTable:
         table = backward_induction(
             TK, BOUNDS, DeterministicRate(0.03), SKEWED, 3, SolverSettings(grid_points=101)
         )
-        buf = io.StringIO()
-        table.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = table.to_csv().strip().splitlines()
         assert lines[0] == "t,A_t,B_t,kStar,kHatStar"
         assert len(lines) == 4
         for t, line in enumerate(lines[1:]):
