@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quadpack import quad
 from .dist import DiscreteEmpirical, Distribution
 from .errors import NumericalError
 from .prefs import CptPreferences, _weight
@@ -34,14 +35,6 @@ __all__ = ["CptValue", "cpt_discrete", "cpt_cdf", "cpt_scaled_position", "TAIL_M
 TAIL_MASS = 1e-10
 
 _QUAD_LIMIT = 400
-
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first use: only Normal laws reach it,
-    and loading scipy.integrate costs more than an atom-only command."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -100,26 +93,25 @@ def _cpt_rows(prefs: CptPreferences, values: np.ndarray, cum: np.ndarray, n: lis
     return gain, loss
 
 
-def _quad_leg(integrand, s_hi: float, breaks, tol: float, label: str) -> float:
-    points = None
+def _quad_leg(integrand, s_hi: float, breaks, tol: float, label: str, p: float) -> float:
+    """Integrate one leg over [0, s_hi], s_hi being the leg's p-quantile in s.
+
+    Atom breakpoints split the range into segments, each integrated alone by
+    QAGS and summed in order.
+    """
+    if not np.isfinite(s_hi):
+        raise NumericalError(f"{label} leg: the {p!r} quantile of the return overflows float64")
+    edges = [0.0, s_hi]
     if breaks is not None:
-        inside = np.asarray(breaks, dtype=float)
-        inside = np.unique(inside[(inside > 0.0) & (inside < s_hi)])
-        if inside.size:
-            points = inside
-    out = quad(
-        integrand,
-        0.0,
-        s_hi,
-        epsabs=0.1 * tol,
-        epsrel=0.1 * tol,
-        limit=_QUAD_LIMIT,
-        points=points,
-        full_output=1,
-    )
-    if len(out) > 3:
-        raise NumericalError(f"{label} leg quadrature did not converge: {out[3]}")
-    return max(float(out[0]), 0.0)
+        inside = np.unique(breaks[(breaks > 0.0) & (breaks < s_hi)])
+        edges = [0.0, *inside.tolist(), s_hi]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        out = quad(integrand, a, b, 0.1 * tol, 0.1 * tol, _QUAD_LIMIT)
+        if len(out) > 3:
+            raise NumericalError(f"{label} leg quadrature did not converge: {out[3]}")
+        total += out[0]
+    return max(total, 0.0)
 
 
 def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = 1e-9) -> CptValue:
@@ -127,9 +119,9 @@ def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = 1e-9) -> CptVal
 
     Each leg is integrated in the transformed variable s = x**alpha over
     [0, q**alpha], where q is the 1 - TAIL_MASS (respectively TAIL_MASS)
-    quantile. For finite distributions the atom positions are handed to the
-    integrator as breakpoints, which makes the piecewise-constant integrand
-    exact; the result then matches ``cpt_discrete`` to quadrature precision.
+    quantile. For finite distributions the range is split at the atom
+    positions, which makes the piecewise-constant integrand exact on each
+    segment; the result then matches ``cpt_discrete`` to quadrature precision.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -146,7 +138,7 @@ def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = 1e-9) -> CptVal
             return _weight(1.0 - d.cdf(s**inv_a), gamma)
 
         breaks = atoms[atoms > 0.0] ** a if atoms is not None else None
-        gain = _quad_leg(gain_integrand, x_hi**a, breaks, tol, "gain")
+        gain = _quad_leg(gain_integrand, x_hi**a, breaks, tol, "gain", 1.0 - TAIL_MASS)
 
     loss = 0.0
     x_lo = d.quantile(TAIL_MASS)
@@ -156,7 +148,7 @@ def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = 1e-9) -> CptVal
             return lam * _weight(d.cdf(-(s**inv_a)), delta)
 
         breaks = (-atoms[atoms < 0.0]) ** a if atoms is not None else None
-        loss = _quad_leg(loss_integrand, (-x_lo) ** a, breaks, tol, "loss")
+        loss = _quad_leg(loss_integrand, (-x_lo) ** a, breaks, tol, "loss", TAIL_MASS)
 
     return CptValue(gain, loss)
 

@@ -451,7 +451,7 @@ def main(argv=None) -> int:
             print(run_demo(cfg, args.r_low, args.r_high, args.demo_grid, args.out))
     except (ConfigError, NumericalError) as exc:
         kind, code = ("config error", 1) if isinstance(exc, ConfigError) else ("numerical failure", 2)
-        # One line per error, though some messages (scipy's quad reports) span several.
+        # One line per error, though a message that quotes a path may hold a newline.
         message = " ".join(line.strip() for line in str(exc).splitlines())
         print(f"{kind}: {message}", file=sys.stderr)
         return code

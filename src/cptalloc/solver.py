@@ -80,6 +80,10 @@ class Constraints:
                 f"fraction bounds must satisfy lo_frac <= 0 < hi_frac, "
                 f"got [{self.lo_frac}, {self.hi_frac}]"
             )
+        if not np.isfinite(self.hi_frac - self.lo_frac):
+            raise ValueError(
+                f"fraction bounds must span a finite width, got [{self.lo_frac}, {self.hi_frac}]"
+            )
 
 
 @dataclass(frozen=True)

@@ -645,12 +645,18 @@ def probe_dir(tmp_path, monkeypatch):
         "mu = 0.3,0.3,0.3\nsigma = 1e308,0.5,0.5\nhorizon = 3\ngrid_points = 101\n"
     )
     (tmp_path / "y_nodes.cfg").write_text("y_nodes = 30000\n")
-    # scipy's quad reports this tolerance's failure in a message of three lines.
+    # This tolerance ends in QAGS's roundoff report (ier 2).
     (tmp_path / "quad_message.cfg").write_text(
         "mu = 0.3\nsigma = 0.5\nhorizon = 2\ncdf_tol = 1e-300\n"
     )
     (tmp_path / "corner_overflow.cfg").write_text(
-        "alpha = 0.99\nmu = 1e300\nlo_frac = -1e308\nhi_frac = 1e308\nhorizon = 1\n"
+        "alpha = 0.99\nmu = 1e300\nlo_frac = -8e307\nhi_frac = 8e307\nhorizon = 1\n"
+    )
+    # hi_frac - lo_frac overflows float64, though each bound is finite.
+    (tmp_path / "wide_bounds.cfg").write_text("lo_frac = -1e308\nhi_frac = 1e308\nhorizon = 2\n")
+    (tmp_path / "wide_demo.cfg").write_text(
+        (CONFIG_DIR / "demo.cfg").read_text().replace("demo_gamble.csv", str(CONFIG_DIR / "demo_gamble.csv"))
+        + "lo_frac = -1e308\nhi_frac = 1e308\n"
     )
     (tmp_path / "grid.cfg").write_text("grid_points = 100000000\n")
     # 2000 grid points x 16384 atoms x 1 rate node: the atom count binds.
@@ -697,6 +703,8 @@ def probe_dir(tmp_path, monkeypatch):
         (["solve", "--config", "quad_message.cfg"], 2),
         (["value", "--config", "quad_message.cfg"], 2),
         (["solve", "--config", "corner_overflow.cfg"], 2),
+        (["demo", "--config", "wide_demo.cfg"], 1),
+        (["solve", "--config", "wide_bounds.cfg"], 1),
     ],
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
@@ -704,7 +712,7 @@ def probe_dir(tmp_path, monkeypatch):
          "normal_node_overflow", "zero_row_overflow", "y_nodes_bound", "tensor_bound",
          "atom_tensor_bound", "demo_outcome_overflow", "sweep_overridden_param",
          "atom_row_extra_field", "config_not_utf8", "quad_message_solve", "quad_message_value",
-         "terminal_corner_overflow"],
+         "terminal_corner_overflow", "demo_bounds_width_overflow", "bounds_width_overflow"],
 )
 def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
     assert cli.main(argv) == code

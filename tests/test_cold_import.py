@@ -1,13 +1,15 @@
-"""scipy is loaded only by commands that integrate a Normal law.
+"""scipy is loaded only by commands that integrate a Normal law, and then
+only scipy.special.
 
-Each case runs in a fresh interpreter and reports whether scipy and
-concurrent.futures are in sys.modules when the command has finished.
-Atom-only commands never reach `Normal.cdf`, `Normal.quantile` or
-`choquet.quad`, so they must not pay for importing scipy; Normal-law commands
-must load it, so that the probe is known to see an import when one happens.
-cptalloc itself never imports concurrent.futures, because a sweep solves its
-variants on the calling thread, so atom-only commands must not load it either
-(scipy does, so Normal-law commands do).
+Each case runs in a fresh interpreter and reports whether scipy,
+scipy.integrate and concurrent.futures are in sys.modules when the command
+has finished. Atom-only commands never reach `Normal.cdf` or
+`Normal.quantile`, so they must not pay for importing scipy; Normal-law
+commands must load scipy.special, so that the probe is known to see an import
+when one happens. `choquet.quad` is QUADPACK's QAGS in Python, so no command
+loads scipy.integrate. cptalloc itself never imports concurrent.futures,
+because a sweep solves its variants on the calling thread, so atom-only
+commands must not load it either (scipy does, so Normal-law commands do).
 """
 
 import os
@@ -27,7 +29,7 @@ import sys
 from cptalloc.cli import main
 if sys.argv[1:] and main(sys.argv[1:]) != 0:
     sys.exit("command failed")
-print("scipy" in sys.modules, "concurrent.futures" in sys.modules)
+print(*(name in sys.modules for name in ("scipy", "scipy.integrate", "concurrent.futures")))
 """
 
 TINY = "horizon = 2\nn_paths = 5\ngrid_points = 11\ny_nodes = 4\nr_nodes = 4\n"
@@ -41,7 +43,7 @@ CONFIGS = {
 
 
 def loaded_modules(tmp_path, argv):
-    """Whether the command left (scipy, concurrent.futures) in sys.modules."""
+    """Whether the command left (scipy, scipy.integrate, concurrent.futures) in sys.modules."""
     for name, text in CONFIGS.items():
         (tmp_path / name).write_text(text)
     if argv:
@@ -67,10 +69,10 @@ def loaded_modules(tmp_path, argv):
          "sweep_atoms"],
 )
 def test_atom_only_commands_do_not_load_scipy(tmp_path, argv):
-    assert loaded_modules(tmp_path, argv) == (False, False)
+    assert loaded_modules(tmp_path, argv) == (False, False, False)
 
 
 @pytest.mark.parametrize("command", ["value", "solve"])
 def test_normal_law_commands_load_scipy(tmp_path, command):
-    scipy, _ = loaded_modules(tmp_path, [command, "--config", "normal.cfg"])
-    assert scipy
+    scipy, scipy_integrate, _ = loaded_modules(tmp_path, [command, "--config", "normal.cfg"])
+    assert scipy and not scipy_integrate

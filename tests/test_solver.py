@@ -106,7 +106,7 @@ class TestTerminalCoefficients:
     def test_overflowing_corner_is_a_numerical_error(self):
         # Finite stats and bounds whose corner value hi**alpha * long_value overflows.
         prefs = CptPreferences(0.99, 2.2, 0.61, 0.69)
-        wide = Constraints(-1e308, 1e308)
+        wide = Constraints(-8e307, 8e307)
         with pytest.raises(NumericalError, match="not finite"):
             terminal_coefficients(prefs, wide, TerminalStats(1e300, -1.0))
         huge = DiscreteEmpirical([1e300], [1.0])
