@@ -11,7 +11,7 @@ All distribution objects are immutable; RNG streams are owned by their caller.
 from __future__ import annotations
 
 import csv
-import functools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,13 +37,24 @@ MIN_RATE = -1.0 + 1e-9
 MAX_NODES = 256
 
 
-@functools.cache
-def _special():
-    """scipy.special, imported on first use: only Normal laws need it, and
-    atom-only commands should not pay for loading scipy."""
-    import scipy.special
+_cephes = None  # the module cptalloc._ndtr, once a Normal law has needed it
 
-    return scipy.special
+
+def _load_cephes():
+    """Import the Cephes port on first use: only Normal laws need it, and
+    atom-only commands should not pay to compile it."""
+    global _cephes
+    from cptalloc import _ndtr as _cephes
+
+    return _cephes
+
+
+def _each(f, x):
+    """f of each element of x as a Python float: a float for a scalar x,
+    else an array of x's shape. Every input kind thus gets f's bits."""
+    xv = np.asarray(x, dtype=float)
+    out = np.array([f(v) for v in xv.ravel().tolist()], dtype=float).reshape(xv.shape)
+    return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
 
 def _check_finite_scalar(x, name: str) -> float:
@@ -123,21 +134,26 @@ class Normal:
             raise ValueError("Normal parameters must be finite")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        # Python floats keep cdf and quantile in float arithmetic, which
+        # returns float and sets no numpy error state.
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     def cdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(xv)):
+        if type(x) is not float:
+            return _each(self.cdf, x)
+        # A float is the quadrature integrand's hot path: no numpy round trip.
+        if not math.isfinite(x):
             raise ValueError("cdf: x must be finite")
-        out = _special().ndtr((xv - self.mu) / self.sigma)
-        return float(out) if np.isscalar(x) or xv.ndim == 0 else out
+        return (_cephes or _load_cephes()).ndtr((x - self.mu) / self.sigma)
 
     def quantile(self, p):
-        pv = np.asarray(p, dtype=float)
-        if not (np.all(pv > 0.0) and np.all(pv < 1.0)):
+        if type(p) is not float:
+            return _each(self.quantile, p)
+        if not 0.0 < p < 1.0:
             raise ValueError("quantile: p must lie in (0, 1)")
-        with np.errstate(over="ignore"):  # an infinite quantile is the caller's to reject
-            out = self.mu + self.sigma * _special().ndtri(pv)
-        return float(out) if np.isscalar(p) or pv.ndim == 0 else out
+        # An infinite quantile is the caller's to reject.
+        return self.mu + self.sigma * (_cephes or _load_cephes()).ndtri(p)
 
     # The Generator method that draws this law's raw numbers.
     variate = "standard_normal"

@@ -1,15 +1,13 @@
-"""scipy is loaded only by commands that integrate a Normal law, and then
-only scipy.special.
+"""No command loads scipy or concurrent.futures.
 
 Each case runs in a fresh interpreter and reports whether scipy,
-scipy.integrate and concurrent.futures are in sys.modules when the command
-has finished. Atom-only commands never reach `Normal.cdf` or
-`Normal.quantile`, so they must not pay for importing scipy; Normal-law
-commands must load scipy.special, so that the probe is known to see an import
-when one happens. `choquet.quad` is QUADPACK's QAGS in Python, so no command
-loads scipy.integrate. cptalloc itself never imports concurrent.futures,
-because a sweep solves its variants on the calling thread, so atom-only
-commands must not load it either (scipy does, so Normal-law commands do).
+concurrent.futures and the Cephes port `cptalloc._ndtr` are in sys.modules
+when the command has finished. `Normal.cdf` and `Normal.quantile` run the
+port, and `choquet.quad` is QUADPACK's QAGS in Python, so no command needs
+scipy. A sweep solves its variants on the calling thread, so none needs
+concurrent.futures. As a positive control the port is imported lazily, by
+Normal-law commands only, so the probe is known to see an import when one
+happens. One Normal-law solve also runs with scipy made unimportable.
 """
 
 import os
@@ -29,7 +27,7 @@ import sys
 from cptalloc.cli import main
 if sys.argv[1:] and main(sys.argv[1:]) != 0:
     sys.exit("command failed")
-print(*(name in sys.modules for name in ("scipy", "scipy.integrate", "concurrent.futures")))
+print(*(name in sys.modules for name in ("scipy", "concurrent.futures", "cptalloc._ndtr")))
 """
 
 TINY = "horizon = 2\nn_paths = 5\ngrid_points = 11\ny_nodes = 4\nr_nodes = 4\n"
@@ -42,14 +40,14 @@ CONFIGS = {
 }
 
 
-def loaded_modules(tmp_path, argv):
-    """Whether the command left (scipy, scipy.integrate, concurrent.futures) in sys.modules."""
+def loaded_modules(tmp_path, argv, prelude=""):
+    """Whether the command left (scipy, concurrent.futures, cptalloc._ndtr) in sys.modules."""
     for name, text in CONFIGS.items():
         (tmp_path / name).write_text(text)
     if argv:
         argv = [*argv, "--out", "out"]
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    res = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=tmp_path, env=env,
+    res = subprocess.run([sys.executable, "-c", prelude + PROBE, *argv], cwd=tmp_path, env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     return tuple({"True": True, "False": False}[v] for v in res.stdout.splitlines()[-1].split())
@@ -72,7 +70,21 @@ def test_atom_only_commands_do_not_load_scipy(tmp_path, argv):
     assert loaded_modules(tmp_path, argv) == (False, False, False)
 
 
-@pytest.mark.parametrize("command", ["value", "solve"])
-def test_normal_law_commands_load_scipy(tmp_path, command):
-    scipy, scipy_integrate, _ = loaded_modules(tmp_path, [command, "--config", "normal.cfg"])
-    assert scipy and not scipy_integrate
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value", "--config", "normal.cfg"],
+        ["solve", "--config", "normal.cfg"],
+        ["simulate", "--config", "normal.cfg"],
+        ["sweep", "--config", "normal.cfg", "--param", "alpha", "--grid", "0.5,0.88"],
+    ],
+    ids=["value", "solve", "simulate", "sweep"],
+)
+def test_normal_law_commands_do_not_load_scipy(tmp_path, argv):
+    assert loaded_modules(tmp_path, argv) == (False, False, True)
+
+
+def test_normal_law_solve_runs_without_scipy(tmp_path):
+    # A None entry in sys.modules makes `import scipy` raise ImportError.
+    prelude = "import sys\nsys.modules['scipy'] = None\n"
+    assert loaded_modules(tmp_path, ["solve", "--config", "normal.cfg"], prelude)[2]
