@@ -123,8 +123,8 @@ def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = 1e-9) -> CptVal
     positions, which makes the piecewise-constant integrand exact on each
     segment; the result then matches ``cpt_discrete`` to quadrature precision.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     a, lam = prefs.alpha, prefs.lam
     inv_a = 1.0 / a
     gamma, delta = prefs.gamma, prefs.delta

@@ -36,8 +36,8 @@ class CptPreferences:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {self.alpha}")
-        if not self.lam > 1.0:
-            raise ValueError(f"lam must satisfy lam > 1, got {self.lam}")
+        if not 1.0 < self.lam < np.inf:
+            raise ValueError(f"lam must be finite and satisfy lam > 1, got {self.lam}")
         if not 0.28 < self.gamma < 1.0:
             raise ValueError(f"gamma must satisfy 0.28 < gamma < 1, got {self.gamma}")
         if not 0.28 < self.delta < 1.0:

@@ -139,13 +139,13 @@ class SolverSettings:
     def __post_init__(self) -> None:
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        if not self.z_tol > 0.0:
-            raise ValueError(f"z_tol must be > 0, got {self.z_tol}")
+        if not 0.0 < self.z_tol < np.inf:
+            raise ValueError(f"z_tol must be finite and > 0, got {self.z_tol}")
         for name in ("y_nodes", "r_nodes"):
             if not 1 <= getattr(self, name) <= MAX_NODES:
                 raise ValueError(f"{name} must lie in [1, {MAX_NODES}], got {getattr(self, name)}")
-        if not self.cdf_tol > 0.0:
-            raise ValueError(f"cdf_tol must be > 0, got {self.cdf_tol}")
+        if not 0.0 < self.cdf_tol < np.inf:
+            raise ValueError(f"cdf_tol must be finite and > 0, got {self.cdf_tol}")
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,8 @@ class TestQuadratureRoute:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             cpt_cdf(TK, COIN, 0.0)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            cpt_cdf(TK, Normal(0.3, 0.5), np.inf)
 
     def test_reports_non_convergence(self):
         class PathologicalCdf:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,15 @@ class TestRateModels:
         np.testing.assert_array_equal(v, [0.03])
         np.testing.assert_array_equal(w, [1.0])
 
+    def test_deterministic_is_the_zero_vol_model(self):
+        m = DeterministicRate(0.03)
+        assert isinstance(m, GaussianSqrtTRate) and (m.r, m.base, m.vol) == (0.03, 0.03, 0.0)
+        assert repr(m) == "DeterministicRate(r=0.03)"
+        assert m == DeterministicRate(0.03) and hash(m) == hash(DeterministicRate(0.03))
+        assert m != GaussianSqrtTRate(0.03, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.base = 0.04
+
     def test_deterministic_rejects_low_rate(self):
         with pytest.raises(ValueError):
             DeterministicRate(-1.0)
@@ -249,6 +260,27 @@ class TestRateModels:
     def test_rejects_negative_vol(self):
         with pytest.raises(ValueError):
             GaussianSqrtTRate(0.03, -0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Normal(np.nan, 1.0), "Normal parameters must be finite"),
+        (lambda: DeterministicRate(np.nan), "r must be finite"),
+        (lambda: GaussianSqrtTRate(0.03, np.inf), "vol must be finite"),
+        (lambda: DiscreteEmpirical([], []), "nonzero numbers"),
+        (lambda: DiscreteEmpirical([np.inf], [1.0]), "atom values must be finite"),
+        (lambda: COIN.cdf(np.nan), "x must be finite"),
+        (lambda: COIN.quantile(0.0), r"p must lie in \(0, 1\)"),
+        (lambda: GaussianSqrtTRate(0.03, 0.02).sample(np.arange(3), np.random.default_rng(0), 5),
+         "size applies to a single period"),
+    ],
+    ids=["normal_nan_mu", "fixed_rate_nan", "rate_vol_inf", "no_atoms", "atom_inf",
+         "atom_cdf_nan", "atom_quantile_0", "sample_periods_and_size"],
+)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestAsSchedule:

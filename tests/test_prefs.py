@@ -72,7 +72,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="0 < alpha < 1"):
             CptPreferences(alpha, 2.2, 0.61, 0.69)
 
-    @pytest.mark.parametrize("lam", [1.0, 0.5, -1.0])
+    @pytest.mark.parametrize("lam", [1.0, 0.5, -1.0, np.inf])
     def test_lam_bounds(self, lam):
         with pytest.raises(ValueError, match="lam > 1"):
             CptPreferences(0.88, lam, 0.61, 0.69)

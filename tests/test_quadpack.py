@@ -48,7 +48,22 @@ INTEGRANDS = {
     "log_over_sqrt": _guard(lambda x: math.log(x) / math.sqrt(x)),
     "inv_abs_mid": _guard(lambda x: 1.0 / abs(x - 1.0 / 3.0)),
     "inv_square_mid": _guard(lambda x: 1.0 / (x - 1.0 / 3.0) ** 2),
+    # Smooth: at epsabs = 1e-300, epsrel = 0 the first panel already reports roundoff.
+    "exp": math.exp,
+    # On [0, 3] at epsrel = 1.2e-14 the epsilon table fills to its limit of 50 and shifts.
+    "sin_inv_over_x": _guard(lambda x: math.sin(1.0 / x) / x),
+    # Its integral over [0, 1] is exactly 0. At epsrel = 1e-10 QAGS reports
+    # roundoff with its running area and extrapolated value both 0.0, and
+    # returns the sum of the panels.
+    "zero_sum_step": lambda x: -2.0 if x < 63.0 / 64.0 else 126.0,
 }
+
+
+def _odd_pole_and_step(x):
+    """10*sign(x)*|x|**-0.9 plus a step; each integrates to about 0 over [-1, 1]."""
+    pole = 0.0 if x == 0.0 else math.copysign(10.0 * abs(x) ** -0.9, x)
+    return pole + (-2.0 if x < -3.0 / 32.0 else 58.0 / 35.0)
+
 
 
 def reference(f, a, b, epsabs, epsrel, limit):
@@ -109,6 +124,14 @@ def test_matches_scipy_bit_for_bit(name):
             for epsabs, epsrel in TOLERANCES:
                 want = reference(f, a, b, epsabs, epsrel, limit)
                 assert_identical(ported(f, a, b, epsabs, epsrel, limit), want)
+
+
+def test_zero_area_at_the_subinterval_limit_matches_scipy():
+    """At limit 15 the running area is 0.0 and the extrapolation error is
+    below the sum of the panel errors, so QAGS skips its divergence test, a
+    branch the grid above does not reach."""
+    args = (_odd_pole_and_step, -1.0, 1.0, 1.49e-8, 1.49e-8, 15)
+    assert_identical(ported(*args), reference(*args))
 
 
 def test_cases_reach_every_failure_code():

@@ -103,6 +103,11 @@ class TestBenchmarkedWealth:
         with pytest.raises(ValueError, match="self-financing"):
             benchmarked_wealth(PathEnsemble(*arrays), 0)
 
+    def test_rejects_mismatched_shapes(self):
+        wealth, trades, rates, ys = path_arrays(1.0, [1.0, 1.0], [0.03, 0.03], [0.1, 0.1])
+        with pytest.raises(ValueError, match=r"need \(n, T\+1\) wealth"):
+            PathEnsemble(wealth[:, :-1], trades, rates, ys)
+
     def test_rejects_bad_initial_time(self):
         path = build_path(1.0, [1.0], [0.03], [0.1])
         with pytest.raises(ValueError):

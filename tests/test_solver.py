@@ -573,6 +573,40 @@ class TestOptimalTrade:
                 )
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Constraints(np.nan, 1.0), "fraction bounds must be finite"),
+        (lambda: TerminalStats(np.nan, 0.0), "terminal statistics must be finite"),
+        (lambda: PolicyCoefficients(0, 1.0, -1.0, np.nan, 0.0), "policy coefficients must be finite"),
+        (lambda: PolicyTable(()), "at least one row"),
+        (lambda: SolverSettings(z_tol=np.inf), "z_tol must be finite"),
+        (lambda: SolverSettings(cdf_tol=np.inf), "cdf_tol must be finite"),
+        (lambda: optimal_trade(PolicyCoefficients(0, 1.0, -1.0, 0.5, 0.5), np.inf),
+         "wealth must be finite"),
+    ],
+    ids=["bounds_nan", "terminal_stats_nan", "fraction_nan", "no_rows", "z_tol_inf",
+         "cdf_tol_inf", "wealth_inf"],
+)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_bracket_within_z_tol_is_refined_by_its_midpoint_alone():
+    calls = []
+
+    def f_batch(zs):
+        calls.append(zs.tolist())
+        return 1.0 - (zs - 0.33) ** 2
+
+    _grid_then_golden(f_batch, -1.0, 1.0, SolverSettings(grid_points=21, z_tol=1.0))
+    # The grid, then one point: the midpoint of the best point's neighbours.
+    grid = fraction_grid(-1.0, 1.0, 21)
+    i = int(np.argmin(np.abs(grid - 0.33)))
+    assert calls[1:] == [[0.5 * (grid[i - 1] + grid[i + 1])]]
+
+
 class TestPolicyTable:
     def test_requires_contiguous_rows(self):
         r0 = PolicyCoefficients(0, 0.0, 0.0, 0.0, 0.0)
