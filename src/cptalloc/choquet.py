@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadpack import quad
-from .dist import DiscreteEmpirical, Distribution
+from .dist import DiscreteEmpirical, Distribution, _sorted_distinct
 from .errors import NumericalError
 from .prefs import CptPreferences, _weight
 
@@ -103,7 +103,7 @@ def _quad_leg(integrand, s_hi: float, breaks, tol: float, label: str, p: float) 
         raise NumericalError(f"{label} leg: the {p!r} quantile of the return overflows float64")
     edges = [0.0, s_hi]
     if breaks is not None:
-        inside = np.unique(breaks[(breaks > 0.0) & (breaks < s_hi)])
+        inside = _sorted_distinct(breaks[(breaks > 0.0) & (breaks < s_hi)])
         edges = [0.0, *inside.tolist(), s_hi]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,14 +77,37 @@ def _check_periods(t, size) -> np.ndarray:
     return tv
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: np.unique's sort-based
+    rule, without the numpy.ma import that np.unique makes."""
+    s = np.sort(x)
+    first = np.ones(s.shape, dtype=bool)  # the first of each run of equal values
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
+
+
+# numpy's hermgauss(n) abscissae and normalised weights, read-only, by n.
+_HERMITE_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _hermite_nodes(loc: float, scale: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights for expectations against N(loc, scale**2)."""
+    """Gauss-Hermite nodes and weights for expectations against N(loc, scale**2).
+
+    Each n-point rule is computed once per process; the weights returned are
+    that rule's shared, read-only array.
+    """
+    n = operator.index(n)  # as hermgauss, reject 4.0 even once the rule for 4 is cached
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
-    x, w = np.polynomial.hermite.hermgauss(n)
+    if n not in _HERMITE_RULES:
+        x, w = np.polynomial.hermite.hermgauss(n)
+        w = w / w.sum()
+        x.flags.writeable = w.flags.writeable = False
+        _HERMITE_RULES[n] = x, w
+    x, w = _HERMITE_RULES[n]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite node is the solver's to reject
         nodes = loc + scale * np.sqrt(2.0) * x
-    return nodes, w / w.sum()
+    return nodes, w
 
 
 def _merge_rows(values: np.ndarray, probs: np.ndarray):
@@ -113,7 +137,7 @@ def _merge_rows(values: np.ndarray, probs: np.ndarray):
     # numpy's pairwise sum associates differently from 8 terms on, so a row
     # is summed over its own distinct values, never over the padded width.
     total = np.empty(rows)
-    for m in np.unique(n):
+    for m in sorted(set(n.tolist())):
         same = n == m
         total[same] = merged[same, :m].sum(axis=1)
     merged /= total[:, None]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,26 @@ __all__ = [
 
 _QUANTS = (0.05, 0.25, 0.50, 0.75, 0.95)
 _QCOLS = tuple(f"wealth_q{int(q * 100):02d}" for q in _QUANTS)
+
 # The demo scores grid**2 fraction pairs per rate, one exact CPT value each,
 # in blocks of at most DEMO_BLOCK_ENTRIES outcomes (1 MB per float array).
 MAX_DEMO_GRID = 201
 DEMO_BLOCK_ENTRIES = 2**17
+
+
+def _column_quantile(a: np.ndarray, q: float) -> np.ndarray:
+    """np.quantile(a, q, axis=0) for finite a and a float q in [0, 1]: numpy's
+    default linear rule step for step, partition included, so the bits
+    match, but without the numpy.ma import that its np.unique call makes."""
+    n = a.shape[0]
+    v = (n - 1) * q
+    lo = -1 if v >= n - 1 else math.floor(v)
+    hi = -1 if lo == -1 else lo + 1
+    part = np.partition(a, sorted({0, -1, lo, hi}), axis=0)  # np.quantile's kth
+    prev, nxt = part[lo], part[hi]
+    gamma = v - lo
+    diff = nxt - prev
+    return nxt - diff * (1 - gamma) if gamma >= 0.5 else prev + diff * gamma
 
 
 def step_wealth(wealth, trade, rate, excess):
@@ -275,7 +292,7 @@ def simulate_paths(
         frac = np.where(wealth[:, :-1] != 0.0, trades / wealth[:, :-1], 0.0)
         summary = EnsembleSummary(
             wealth_mean=wealth.mean(axis=0),
-            wealth_quantiles={q: np.quantile(wealth, q, axis=0) for q in _QUANTS},
+            wealth_quantiles={q: _column_quantile(wealth, q) for q in _QUANTS},
             fraction_mean=frac.mean(axis=0),
         )
     # Fractions are bounded by the policy's, so only the wealth columns can overflow.

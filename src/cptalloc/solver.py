@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .choquet import cpt_scaled_position
-from .dist import MAX_NODES, Distribution, RateModel, as_schedule
+from .dist import MAX_NODES, Distribution, RateModel, _sorted_distinct, as_schedule
 from .errors import NumericalError
 from .prefs import CptPreferences
 
@@ -194,7 +194,7 @@ def fraction_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
     Zero is always admissible (lo <= 0 < hi) and is the tie-break anchor.
     """
-    return np.unique(np.append(np.linspace(lo, hi, n), 0.0)) + 0.0
+    return _sorted_distinct(np.append(np.linspace(lo, hi, n), 0.0)) + 0.0
 
 
 def _least_exposure(vals: np.ndarray, *keys: np.ndarray) -> int:

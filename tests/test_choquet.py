@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -14,10 +16,13 @@ from cptalloc import (
     discretize,
     distort,
 )
+import cptalloc.choquet as choquet
+from cptalloc.choquet import TAIL_MASS
 from cptalloc.prefs import _weight
 
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 COIN = DiscreteEmpirical([-1.0, 1.0], [0.5, 0.5])
+SQRT = CptPreferences(0.5, 2.20, 0.61, 0.69)
 
 
 def random_discrete(rng, n_atoms=None, spread=3.0):
@@ -98,6 +103,37 @@ class TestQuadratureRoute:
             assert quadr.value == pytest.approx(exact.value, abs=1e-9)
             assert quadr.gain_part == pytest.approx(exact.gain_part, abs=1e-9)
             assert quadr.loss_part == pytest.approx(exact.loss_part, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "prefs, values, n_segments",
+        [
+            (TK, [-1.0, 2.0], 2),  # no breakpoint inside either leg
+            (TK, [-1.0, 0.5, 2.0], 3),  # one inside the gain leg
+            # Two atoms whose square roots round to the same float: one break.
+            (SQRT, [-2.0, 1.0, math.nextafter(1.0, 2.0), 3.0], 3),
+            (TK, [-3.0, -2.0, -1.0, 1.0], 4),  # the loss leg's breaks come descending
+            (TK, [-3.0, -2.0, -2.0, 0.0, 1.5, 1.5, 4.0], 4),
+        ],
+    )
+    def test_breakpoints_equal_np_unique(self, monkeypatch, prefs, values, n_segments):
+        segments = []
+        quad = choquet.quad
+
+        def recording_quad(f, a, b, *args):
+            segments.append((a, b))
+            return quad(f, a, b, *args)
+
+        monkeypatch.setattr(choquet, "quad", recording_quad)
+        d = DiscreteEmpirical(values, np.full(len(values), 1.0 / len(values)))
+        cpt_cdf(prefs, d)
+        want = []
+        a = prefs.alpha
+        for s_hi, breaks in [(d.quantile(1.0 - TAIL_MASS) ** a, d.values[d.values > 0.0] ** a),
+                             ((-d.quantile(TAIL_MASS)) ** a, (-d.values[d.values < 0.0]) ** a)]:
+            edges = [0.0, *np.unique(breaks[(breaks > 0.0) & (breaks < s_hi)]).tolist(), s_hi]
+            want += zip(edges[:-1], edges[1:])
+        assert len(segments) == n_segments
+        assert np.array(segments).tobytes() == np.array(want).tobytes()
 
     def test_near_degenerate_normal(self):
         out = cpt_cdf(TK, Normal(1.0, 1e-9), 1e-9)

@@ -1,13 +1,15 @@
-"""No command loads scipy or concurrent.futures.
+"""No command loads scipy, concurrent.futures or numpy.ma.
 
 Each case runs in a fresh interpreter and reports whether scipy,
-concurrent.futures and the Cephes port `cptalloc._ndtr` are in sys.modules
-when the command has finished. `Normal.cdf` and `Normal.quantile` run the
-port, and `choquet.quad` is QUADPACK's QAGS in Python, so no command needs
-scipy. A sweep solves its variants on the calling thread, so none needs
-concurrent.futures. As a positive control the port is imported lazily, by
-Normal-law commands only, so the probe is known to see an import when one
-happens. One Normal-law solve also runs with scipy made unimportable.
+concurrent.futures, the Cephes port `cptalloc._ndtr` and numpy.ma are in
+sys.modules when the command has finished. `Normal.cdf` and
+`Normal.quantile` run the port, and `choquet.quad` is QUADPACK's QAGS in
+Python, so no command needs scipy. A sweep solves its variants on the
+calling thread, so none needs concurrent.futures. numpy's np.unique and
+np.quantile import numpy.ma, so no command calls either. As a positive
+control the port is imported lazily, by Normal-law commands only, so the
+probe is known to see an import when one happens. One Normal-law solve also
+runs with scipy made unimportable.
 """
 
 import os
@@ -27,7 +29,7 @@ import sys
 from cptalloc.cli import main
 if sys.argv[1:] and main(sys.argv[1:]) != 0:
     sys.exit("command failed")
-print(*(name in sys.modules for name in ("scipy", "concurrent.futures", "cptalloc._ndtr")))
+print(*(name in sys.modules for name in ("scipy", "concurrent.futures", "cptalloc._ndtr", "numpy.ma")))
 """
 
 TINY = "horizon = 2\nn_paths = 5\ngrid_points = 11\ny_nodes = 4\nr_nodes = 4\n"
@@ -41,7 +43,7 @@ CONFIGS = {
 
 
 def loaded_modules(tmp_path, argv, prelude=""):
-    """Whether the command left (scipy, concurrent.futures, cptalloc._ndtr) in sys.modules."""
+    """Whether the command left (scipy, concurrent.futures, cptalloc._ndtr, numpy.ma) in sys.modules."""
     for name, text in CONFIGS.items():
         (tmp_path / name).write_text(text)
     if argv:
@@ -59,15 +61,16 @@ def loaded_modules(tmp_path, argv, prelude=""):
         [],
         ["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "5"],
         ["value", "--config", "atoms.cfg"],
+        ["solve", "--config", "atoms.cfg"],
         ["simulate", "--config", "atoms_fixed.cfg"],
         ["simulate", "--config", "atoms_sqrt_t.cfg"],
         ["sweep", "--config", "atoms.cfg", "--param", "alpha", "--grid", "0.5,0.88"],
     ],
-    ids=["import_cli", "demo", "value_atoms", "simulate_atoms_fixed", "simulate_atoms_sqrt_t",
-         "sweep_atoms"],
+    ids=["import_cli", "demo", "value_atoms", "solve_atoms", "simulate_atoms_fixed",
+         "simulate_atoms_sqrt_t", "sweep_atoms"],
 )
 def test_atom_only_commands_do_not_load_scipy(tmp_path, argv):
-    assert loaded_modules(tmp_path, argv) == (False, False, False)
+    assert loaded_modules(tmp_path, argv) == (False, False, False, False)
 
 
 @pytest.mark.parametrize(
@@ -81,7 +84,7 @@ def test_atom_only_commands_do_not_load_scipy(tmp_path, argv):
     ids=["value", "solve", "simulate", "sweep"],
 )
 def test_normal_law_commands_do_not_load_scipy(tmp_path, argv):
-    assert loaded_modules(tmp_path, argv) == (False, False, True)
+    assert loaded_modules(tmp_path, argv) == (False, False, True, False)
 
 
 def test_normal_law_solve_runs_without_scipy(tmp_path):

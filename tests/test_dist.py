@@ -1,8 +1,11 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
+import cptalloc.cli as cli
+import cptalloc.dist as dist
 from cptalloc import (
     DeterministicRate,
     DiscreteEmpirical,
@@ -312,3 +315,107 @@ def test_discrete_cdf_quantile_generalized_inverse():
     d = DiscreteEmpirical([-2.0, 0.0, 1.5], [0.2, 0.3, 0.5])
     ps = np.linspace(0.01, 0.99, 53)
     assert np.all(d.cdf(d.quantile(ps)) >= ps - 1e-15)
+
+
+def old_hermite_nodes(loc, scale, n):
+    """_hermite_nodes as written before its rules were cached: the reference."""
+    x, w = np.polynomial.hermite.hermgauss(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = loc + scale * np.sqrt(2.0) * x
+    return nodes, w / w.sum()
+
+
+def test_sweep_computes_each_hermite_rule_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    hermgauss = np.polynomial.hermite.hermgauss
+
+    def counted(n):
+        calls[n] += 1
+        return hermgauss(n)
+
+    monkeypatch.setattr(dist, "_HERMITE_RULES", {})  # as in a fresh process
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
+    (tmp_path / "run.cfg").write_text("horizon = 5\ngrid_points = 101\nrate_model = sqrt_t\n")
+    argv = ["sweep", "--config", str(tmp_path / "run.cfg"), "--param", "mu", "--grid", "0.045,0.3",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    # Without the cache: one y_nodes rule per recursion step and one r_nodes
+    # rule per random-rate step, each sweep value: 2 * (4 + 3) calls.
+    assert calls == {cli.RunConfig.y_nodes: 1, cli.RunConfig.r_nodes: 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 64, 256])
+def test_cached_hermite_nodes_equal_the_uncached_rule(n):
+    for mu, sigma in [(0.3, 2.0), (-1e-3, 1e-9), (0.045, 1.69)]:
+        got = Normal(mu, sigma).expectation_nodes(n)
+        want = old_hermite_nodes(mu, sigma, n)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    for base, vol, t in [(0.03, 0.003, 4), (0.0, 10.0, 100)]:  # the second clamps at MIN_RATE
+        nodes, w = old_hermite_nodes(base, vol * np.sqrt(t), n)
+        want = np.maximum(nodes, dist.MIN_RATE), w
+        got = GaussianSqrtTRate(base, vol).nodes(t, n)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_a_caller_cannot_change_a_later_hermite_rule():
+    want = [a.tobytes() for a in old_hermite_nodes(0.3, 2.0, 32)]
+    x, w = Normal(0.3, 2.0).expectation_nodes(32)
+    rx, rw = GaussianSqrtTRate(0.3, 2.0).nodes(1, 32)
+    for weights in (w, rw):
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 1.0
+    x[:] = 0.0  # the nodes are a new array on every call
+    rx[:] = 0.0
+    assert [a.tobytes() for a in Normal(0.3, 2.0).expectation_nodes(32)] == want
+
+
+def test_a_float_node_count_is_rejected_even_when_its_rule_is_cached():
+    Normal(0.0, 1.0).expectation_nodes(4)
+    with pytest.raises(TypeError):
+        Normal(0.0, 1.0).expectation_nodes(4.0)
+    with pytest.raises(TypeError):
+        GaussianSqrtTRate(0.03, 0.01).nodes(1, 4.0)
+
+
+def merge_rows_with_unique(values, probs):
+    """_merge_rows as written with np.unique, the reference for its replacement."""
+    rows, k = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    v = np.take_along_axis(values, order, axis=1)
+    new = np.ones((rows, k), dtype=bool)
+    np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
+    col = np.cumsum(new, axis=1) - 1
+    n = col[:, -1] + 1
+    flat = (col + k * np.arange(rows)[:, None]).ravel()
+    merged = np.zeros(rows * k)
+    np.add.at(merged, flat, probs[order].ravel())
+    uniq = np.zeros(rows * k)
+    uniq[flat[new.ravel()]] = v[new]
+    merged, uniq = merged.reshape(rows, k), uniq.reshape(rows, k)
+    total = np.empty(rows)
+    for m in np.unique(n):
+        same = n == m
+        total[same] = merged[same, :m].sum(axis=1)
+    merged /= total[:, None]
+    cum = np.cumsum(merged, axis=1)
+    np.minimum(cum, 1.0, out=cum)
+    cum[np.arange(k) >= n[:, None] - 1] = 1.0
+    return uniq, merged, cum, n.tolist()
+
+
+def test_merge_rows_equals_the_np_unique_reference():
+    rng = np.random.default_rng(41)
+    k = 12
+    probs = rng.dirichlet(np.ones(k))
+    # Rows of 1, 3, 8, 9 and 12 distinct values, each count twice, shuffled:
+    # numpy's pairwise sum changes its association from 8 terms on.
+    rows = []
+    for distinct in (1, 3, 8, 9, 12) * 2:
+        row = rng.uniform(-2.0, 2.0, distinct)[np.arange(k) % distinct]
+        rows.append(rng.permutation(row))
+    values = np.array(rows)[rng.permutation(len(rows))]
+    got = dist._merge_rows(values, probs)
+    want = merge_rows_with_unique(values, probs)
+    assert sorted(set(got[3])) == [1, 3, 8, 9, 12]
+    assert got[3] == want[3]
+    assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]

@@ -495,3 +495,21 @@ def test_demo_memory_is_bounded_by_its_block():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_column_quantiles_equal_np_quantile():
+    rng = np.random.default_rng(37)
+    arrays = [np.array([[2.5, -0.0]]), rng.standard_normal((4000, 6))]
+    for i in range(200):
+        n, cols = int(rng.integers(1, 80)), int(rng.integers(1, 5))
+        # Signed zeros tie with each other, so their order after a partition shows.
+        pool = [rng.standard_normal(n * cols), rng.choice([-0.0, 0.0, -1.0, 1.0], n * cols),
+                rng.choice([1e308, -1e308, -0.0, 0.0, 5e-324], n * cols)][i % 3]
+        arrays.append(pool.reshape(n, cols))
+    for a in arrays:
+        for q in (*simulate._QUANTS, 0.0, 1.0):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.quantile(a, q, axis=0)
+                got = simulate._column_quantile(a, q)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (a, q)

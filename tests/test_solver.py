@@ -413,6 +413,19 @@ def test_fraction_grid_adds_0_once_as_positive_zero(lo, hi, n, size):
     assert set(np.linspace(lo, hi, n)) <= set(zs)
 
 
+def test_fraction_grid_equals_np_unique():
+    rng = np.random.default_rng(23)
+    cases = [(-5.0, 5.0, 1001), (-1.0, 1.0, 2), (-3.0, 1.0, 5), (-2.0, 2.0, 2),
+             (0.0, 2.0, 11), (-2.0, -0.0, 11), (-0.0, 1.0, 2), (-1e-300, 1e-300, 3)]
+    for i in range(300):
+        hi = float(rng.uniform(1e-3, 10.0))
+        lo = [-hi, -float(rng.uniform(0.0, 10.0)), -hi * int(rng.integers(1, 5)), 0.0][i % 4]
+        cases.append((lo, hi, int(rng.integers(2, 200))))
+    for lo, hi, n in cases:
+        want = np.unique(np.append(np.linspace(lo, hi, n), 0.0)) + 0.0
+        assert fraction_grid(lo, hi, n).tobytes() == want.tobytes(), (lo, hi, n)
+
+
 def enumerate_policy_sequences(prefs, stats, grid, r, y, horizon):
     """Exhaustive search over constant-fraction sequences on the grid.
 
