@@ -87,7 +87,8 @@ def _cpt_rows(prefs: CptPreferences, values: np.ndarray, cum: np.ndarray, n: lis
         if pos < end:
             gain[i] = np.dot(d_gain[i, pos:end], level[i, pos:end])
         if neg:
-            loss[i] = prefs.lam * np.dot(d_loss[i, :neg], level[i, :neg])
+            # A Python float product: an overflow gives inf, not numpy's RuntimeWarning.
+            loss[i] = prefs.lam * float(np.dot(d_loss[i, :neg], level[i, :neg]))
     if (gain < 0.0).any() or (loss < 0.0).any():
         raise ValueError("gain_part and loss_part must be non-negative")
     return gain, loss
@@ -169,4 +170,7 @@ def cpt_scaled_position(
     base = d if amount > 0.0 else d.negate()
     unit = cpt_discrete(prefs, base) if isinstance(base, DiscreteEmpirical) else cpt_cdf(prefs, base, tol)
     scale = abs(amount) ** prefs.alpha
-    return CptValue(scale * unit.gain_part, scale * unit.loss_part)
+    gain, loss = scale * unit.gain_part, scale * unit.loss_part
+    if not np.isfinite(gain - loss):
+        raise NumericalError(f"prospect value overflows float64 (gains {gain:g}, losses {loss:g})")
+    return CptValue(gain, loss)

@@ -1,8 +1,9 @@
 """Batch front-end: flat key=value configs, solve/simulate/sweep/value/demo.
 
 Every command is a pure function of (config, seed): repeated runs write
-byte-identical artifacts. Exit codes: 0 success, 1 config error, 2 numerical
-failure.
+byte-identical artifacts. Exit codes: 0 success; 1 config error, which
+includes any ValueError the library raises on an input it rejects; 2 numerical
+failure, such as a prospect value that overflows float64.
 """
 
 from __future__ import annotations
@@ -275,17 +276,14 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
 
 
 def _solve_table(cfg: RunConfig, schedule: list[Distribution]) -> PolicyTable:
-    try:
-        return backward_induction(
-            cfg.preferences(),
-            cfg.constraints(),
-            cfg.rate_model_obj(),
-            schedule,
-            cfg.horizon,
-            cfg.solver_settings(),
-        )
-    except ValueError as exc:  # the solver's tensor bound, checked on the actual node counts
-        raise ConfigError(str(exc)) from exc
+    return backward_induction(
+        cfg.preferences(),
+        cfg.constraints(),
+        cfg.rate_model_obj(),
+        schedule,
+        cfg.horizon,
+        cfg.solver_settings(),
+    )
 
 
 def worker_count() -> int:
@@ -360,11 +358,7 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
 
 def run_value(cfg: RunConfig, amount: float) -> CptValue:
     """Prospect value of holding `amount` dollars of the configured return."""
-    y = cfg.y_distribution()
-    try:
-        return cpt_scaled_position(cfg.preferences(), y, amount, cfg.cdf_tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cpt_scaled_position(cfg.preferences(), cfg.y_distribution(), amount, cfg.cdf_tol)
 
 
 def run_demo(
@@ -378,12 +372,7 @@ def run_demo(
     y = cfg.y_distribution()
     if not isinstance(y, DiscreteEmpirical):
         raise ConfigError("demo requires a finite return distribution (set atom_file)")
-    try:
-        report = inconsistency_demo(
-            cfg.preferences(), cfg.constraints(), y, r_low, r_high, grid_points
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = inconsistency_demo(cfg.preferences(), cfg.constraints(), y, r_low, r_high, grid_points)
     return _write_atomic(_out_dir(cfg, out_dir) / "demo_report.txt", report.to_text())
 
 
@@ -447,8 +436,9 @@ def main(argv=None) -> int:
             print(f"loss_part = {result.loss_part:.17g}")
         elif args.command == "demo":
             print(run_demo(cfg, args.r_low, args.r_high, args.demo_grid, args.out))
-    except (ConfigError, NumericalError) as exc:
-        kind, code = ("config error", 1) if isinstance(exc, ConfigError) else ("numerical failure", 2)
+    except (ConfigError, ValueError, NumericalError) as exc:
+        # The only exception-to-exit-code map; a library ValueError is a rejected input.
+        kind, code = ("numerical failure", 2) if isinstance(exc, NumericalError) else ("config error", 1)
         # One line per error, though a message that quotes a path may hold a newline.
         message = " ".join(line.strip() for line in str(exc).splitlines())
         print(f"{kind}: {message}", file=sys.stderr)

@@ -23,6 +23,9 @@ from cptalloc.prefs import _weight
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 COIN = DiscreteEmpirical([-1.0, 1.0], [0.5, 0.5])
 SQRT = CptPreferences(0.5, 2.20, 0.61, 0.69)
+# lam * 1e10**alpha overflows float64 in the loss leg; the gain leg stays finite.
+HUGE_LAM = CptPreferences(0.88, 1e300, 0.61, 0.69)
+LAM_GAMBLE = DiscreteEmpirical([10.0, -1e10], [0.5, 0.5])
 
 
 def random_discrete(rng, n_atoms=None, spread=3.0):
@@ -229,6 +232,26 @@ class TestScaledPosition:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             cpt_scaled_position(TK, COIN, np.inf)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "prefs, d, amount",
+        [
+            (TK, DiscreteEmpirical([1e300, -1e300], [0.5, 0.5]), 1e300),  # inf - inf
+            (TK, Normal(1e300, 1e-300), 1e300),  # quadrature route
+            (HUGE_LAM, LAM_GAMBLE, 1.0),
+        ],
+        ids=["both_legs", "normal_gain_leg", "loss_leg"],
+    )
+    def test_overflow_is_numerical_error(self, prefs, d, amount):
+        with pytest.raises(NumericalError, match="overflows float64"):
+            cpt_scaled_position(prefs, d, amount)
+
+    @pytest.mark.filterwarnings("error")
+    def test_oracle_loss_leg_overflows_to_inf_silently(self):
+        out = cpt_discrete(HUGE_LAM, LAM_GAMBLE)
+        assert out.loss_part == np.inf
+        assert np.isfinite(out.gain_part) and out.gain_part > 0.0
 
 
 def scalar_reference(values, probs):

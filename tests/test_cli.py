@@ -292,7 +292,7 @@ class TestRunDemo:
 
     def test_rejects_tiny_grid(self, tmp_path):
         cfg = load_config(CONFIG_DIR / "demo.cfg")
-        with pytest.raises(ConfigError, match="grid"):
+        with pytest.raises(ValueError, match="grid"):
             cli.run_demo(cfg, 0.0, 0.5, 2, out_dir=str(tmp_path / "out"))
 
 
@@ -662,6 +662,12 @@ def probe_dir(tmp_path, monkeypatch):
     (tmp_path / "extra_field.csv").write_text("value,probability\n0.3,0.7,junk\n-0.25,0.3\n")
     (tmp_path / "extra_field.cfg").write_text("atom_file = extra_field.csv\n")
     (tmp_path / "not_utf8.cfg").write_bytes(b"mu = 0.3\n\xff\xfe\n")
+    (tmp_path / "huge_atoms.csv").write_text("value,probability\n1e300,0.5\n-1e300,0.5\n")
+    (tmp_path / "huge_atoms.cfg").write_text("atom_file = huge_atoms.csv\n")
+    (tmp_path / "huge_mu.cfg").write_text("mu = 1e300\nsigma = 1e-300\n")
+    # The loss leg lambda * 1e10**alpha overflows float64; the gain leg does not.
+    (tmp_path / "huge_lambda.csv").write_text("value,probability\n10,0.5\n-1e10,0.5\n")
+    (tmp_path / "huge_lambda.cfg").write_text("atom_file = huge_lambda.csv\nlambda = 1e300\nhorizon = 2\n")
     (tmp_path / "a_file").write_text("")
     (tmp_path / "blocked" / "policy.csv").mkdir(parents=True)
     return tmp_path
@@ -701,6 +707,11 @@ def probe_dir(tmp_path, monkeypatch):
         (["solve", "--config", "wide_bounds.cfg"], 1),
         (["sweep", "--config", "short.cfg", "--param", "mu", "--grid", ","], 1),
         (["sweep", "--config", "short.cfg", "--param", "rate-mode", "--grid", "fixed,vasicek"], 1),
+        (["value", "--config", "huge_atoms.cfg", "--amount", "1e300"], 2),
+        (["value", "--config", "huge_mu.cfg", "--amount", "1e300"], 2),
+        (["solve", "--config", "huge_lambda.cfg"], 2),
+        (["value", "--config", "huge_lambda.cfg"], 2),
+        (["demo", "--config", "huge_lambda.cfg"], 2),
     ],
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
@@ -709,7 +720,9 @@ def probe_dir(tmp_path, monkeypatch):
          "atom_tensor_bound", "demo_outcome_overflow", "sweep_overridden_param",
          "atom_row_extra_field", "config_not_utf8", "quad_message_solve", "quad_message_value",
          "terminal_corner_overflow", "demo_bounds_width_overflow", "bounds_width_overflow",
-         "sweep_empty_grid", "sweep_unknown_rate_mode"],
+         "sweep_empty_grid", "sweep_unknown_rate_mode", "value_overflow_atoms",
+         "value_overflow_normal", "loss_leg_overflow_solve", "loss_leg_overflow_value",
+         "loss_leg_overflow_demo"],
 )
 def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
     assert cli.main(argv) == code

@@ -426,62 +426,12 @@ def test_fraction_grid_equals_np_unique():
         assert fraction_grid(lo, hi, n).tobytes() == want.tobytes(), (lo, hi, n)
 
 
-def enumerate_policy_sequences(prefs, stats, grid, r, y, horizon):
-    """Exhaustive search over constant-fraction sequences on the grid.
-
-    Valid as an oracle when ruin is unreachable, so wealth stays positive and
-    the final trade's prospect value splits by the sign of the trade alone.
-    """
-    a = prefs.alpha
-    k, h = stats.long_value, stats.short_value
-    yv, yp = y.values, y.probs
-
-    def final_value(v):
-        return np.maximum(v, 0.0) ** a * k + np.maximum(-v, 0.0) ** a * h
-
-    if horizon == 1:
-        return max(float(final_value(np.array([z]))[0]) for z in grid)
-    if horizon == 2:
-        best = -np.inf
-        for z0 in grid:
-            w1 = 1.0 + r + z0 * yv
-            for z1 in grid:
-                best = max(best, float(np.dot(yp, final_value(z1 * w1))))
-        return best
-    if horizon == 3:
-        w2 = (
-            (1.0 + r + np.multiply.outer(grid, yv))[:, None, :, None]
-            * (1.0 + r + np.multiply.outer(grid, yv))[None, :, None, :]
-        )
-        pp = np.multiply.outer(yp, yp)
-        best = -np.inf
-        for z2 in grid:
-            vals = np.einsum("abij,ij->ab", final_value(z2 * w2), pp)
-            best = max(best, float(vals.max()))
-        return best
-    raise NotImplementedError
-
-
 class TestBackwardInduction:
     def test_single_period_is_terminal_row(self):
         table = backward_induction(TK, BOUNDS, DeterministicRate(0.03), SKEWED, 1)
         assert table.horizon == 1
         stats = terminal_stats(TK, SKEWED)
         assert table.rows[0] == terminal_coefficients(TK, BOUNDS, stats, t=0)
-
-    @pytest.mark.parametrize("horizon", [1, 2, 3])
-    def test_matches_exhaustive_enumeration(self, horizon):
-        rng = np.random.default_rng(horizon)
-        settings = SolverSettings(grid_points=101, z_tol=1e-12, refine=False)
-        cons = Constraints(-0.9, 0.9)
-        grid = np.linspace(-0.9, 0.9, 101)
-        for _ in range(3):
-            n = int(rng.integers(2, 6))
-            y = DiscreteEmpirical(rng.uniform(-0.5, 0.5, n), rng.dirichlet(np.ones(n)))
-            r = float(rng.uniform(0.0, 0.05))
-            table = backward_induction(TK, cons, DeterministicRate(r), y, horizon, settings)
-            want = enumerate_policy_sequences(TK, terminal_stats(TK, y), grid, r, y, horizon)
-            assert table.rows[0].a_coef == pytest.approx(want, abs=1e-9)
 
     def test_rows_do_not_depend_on_query_time(self):
         settings = SolverSettings(grid_points=301)
