@@ -47,10 +47,10 @@ __all__ = [
     "main",
 ]
 
-SWEEP_PARAMS = ("alpha", "mu", "sigma", "delta", "rate-mode")
 RATE_MODES = ("fixed", "sqrt_t")
 # Bounds the simulated ensemble (and paths.csv, ~75 bytes per step) before
 # anything is solved or allocated: 20 times the default 10000 paths x 10 periods.
+# It also bounds every command's horizon.
 MAX_PATH_STEPS = 2_000_000
 
 
@@ -85,16 +85,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         # Finiteness is checked per float key so the message names it. Every
         # range rule lives in the domain constructors built below.
-        for key, (field_name, cast) in _SCHEMA.items():
-            val = getattr(self, field_name)
-            if cast not in (float, _float_or_schedule) or val is None:
-                continue
+        for key in _FLOAT_KEYS:
+            val = getattr(self, _SCHEMA[key][0])
             vals = val if isinstance(val, tuple) else (val,)
-            _require(all(np.isfinite(v) for v in vals), f"{key} must be finite")
+            _require(all(v is None or np.isfinite(v) for v in vals), f"{key} must be finite")
         _require(self.rate_model in RATE_MODES, f"rate_model must be one of {RATE_MODES}")
         if self.rate_model == "fixed":
             _require(self.rate is not None, "missing required key: rate (needed when rate_model = fixed)")
-        _require(self.horizon >= 1, "horizon must be >= 1")
+        _require(1 <= self.horizon <= MAX_PATH_STEPS, f"horizon must be in [1, {MAX_PATH_STEPS}]")
         for key in ("mu", "sigma"):
             val = getattr(self, key)
             if isinstance(val, tuple):
@@ -114,10 +112,6 @@ class RunConfig:
             # Domain messages use the domain's parameter names; report the keys.
             raise ConfigError(_DOMAIN_NAME.sub(lambda m: _KEY_OF[m[0]], str(exc))) from exc
         _require(self.n_paths >= 1, "n_paths must be >= 1")
-        _require(
-            self.n_paths * self.horizon <= MAX_PATH_STEPS,
-            f"n_paths * horizon must be <= {MAX_PATH_STEPS}, got {self.n_paths * self.horizon}",
-        )
         _require(self.seed >= 0, "seed must be >= 0")
         _require(bool(self.out_dir), "out_dir must be non-empty")
 
@@ -170,7 +164,7 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _float_or_schedule(s: str):
-    if "," not in s:
+    if "," not in str(s):  # a number from a Python sweep grid is one value
         return float(s)
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
@@ -190,6 +184,8 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     _KEY_OF.get(f.name, f.name): (f.name, _CASTS.get(f.name, type(f.default)))
     for f in dataclasses.fields(RunConfig)
 }
+_FLOAT_KEYS = tuple(k for k, (_, cast) in _SCHEMA.items() if cast in (float, _float_or_schedule))
+SWEEP_PARAMS = (*_FLOAT_KEYS, "rate-mode")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -309,6 +305,10 @@ def run_solve(cfg: RunConfig, out_dir: str | None = None) -> Path:
 
 def run_simulate(cfg: RunConfig, out_dir: str | None = None) -> list[Path]:
     """Solve, simulate the path ensemble, and write policy/paths/summary CSVs."""
+    _require(
+        cfg.n_paths * cfg.horizon <= MAX_PATH_STEPS,
+        f"n_paths * horizon must be <= {MAX_PATH_STEPS}, got {cfg.n_paths * cfg.horizon}",
+    )
     schedule = cfg.y_schedule()  # one read of an atom_file serves both
     table = _solve_table(cfg, schedule)
     paths, summary = simulate_paths(
@@ -327,7 +327,7 @@ def _sweep_variant(cfg: RunConfig, param: str, value) -> RunConfig:
         rate = cfg.rate if cfg.rate is not None else cfg.rate_base
         return dataclasses.replace(cfg, rate_model=value, rate=rate)
     try:
-        value = float(value)
+        value = _SCHEMA[param][1](value)
     except ValueError as exc:
         raise ConfigError(f"invalid {param} grid value {value!r}: {exc}") from exc
     return dataclasses.replace(cfg, **{_SCHEMA[param][0]: value})
@@ -337,8 +337,8 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
     """Re-solve per grid value and tabulate every period's coefficients."""
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
-    if not grid:
-        raise ConfigError("sweep grid must be non-empty")
+    if not grid or any("," in str(v) for v in grid):
+        raise ConfigError("sweep grid must hold one or more values, each without a comma")
     if param in ("mu", "sigma") and cfg.atom_file is not None:
         raise ConfigError(f"cannot sweep {param}: atom_file overrides mu and sigma")
     variants = [_sweep_variant(cfg, param, v) for v in grid]  # validate all first

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cptalloc.cli as cli
 from cptalloc import (
     Constraints,
     CptPreferences,
@@ -250,6 +251,50 @@ def test_criterion_7_baseline_trends():
 
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
+
+
+def _cli_sweep(tmp_path, param, grid):
+    """Run `cpt-alloc sweep` and return each grid value's rows [t, kStar, kHatStar, A_t, B_t]."""
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(tmp_path / "sweep.cfg"), "--param", param,
+            "--grid", ",".join(grid), "--out", str(out)]
+    assert cli.main(argv) == 0
+    blocks = {value: [] for value in grid}
+    for line in (out / f"sweep_{param}.csv").read_text().splitlines()[1:]:
+        value, *row = line.split(",")
+        blocks[value].append([float(x) for x in row])
+    return list(blocks.values())
+
+
+def test_distortion_and_constraint_trends(tmp_path):
+    # Two atoms and a fixed rate make every expectation a finite sum and the
+    # terminal statistics cpt_discrete's exact values; alpha = 0.5 puts the
+    # pre-terminal optimum inside the bounds, where golden refinement picks it.
+    (tmp_path / "atoms.csv").write_text("value,probability\n1.3,0.8\n-0.5,0.2\n")
+    (tmp_path / "sweep.cfg").write_text(
+        "atom_file = atoms.csv\nalpha = 0.5\nlo_frac = -2\nhi_frac = 2\n"
+        "rate_model = fixed\nrate = 0.03\nhorizon = 4\n"
+    )
+    z_tol = SolverSettings.z_tol
+
+    # lambda reaches the solve only through the terminal scale A_{T-1}.
+    blocks = _cli_sweep(tmp_path, "lambda", ["1.5", "2.2", "3", "4.5", "6"])
+    scale = [rows[-1][3] for rows in blocks]
+    assert all(b <= a for a, b in zip(scale, scale[1:])), scale
+    assert scale[0] > 0.0 and scale[-1] == 0.0, scale  # the grid crosses into the zero table
+    active = [rows[:-1] for rows, a in zip(blocks, scale) if a > 0.0]
+    assert len(active) > 1 and all(0.0 < abs(row[1]) < 2.0 for row in active[0]), active
+    for rows in active[1:]:
+        for row, ref in zip(rows, active[0]):
+            assert abs(row[1] - ref[1]) <= z_tol and abs(row[2] - ref[2]) <= z_tol, (row, ref)
+    for rows, a in zip(blocks, scale):
+        if a == 0.0:
+            assert all(x == 0.0 for row in rows for x in row[1:]), rows
+
+    # A wider upper bound only adds terminal corners, so A_{T-1} cannot fall.
+    scale = [rows[-1][3] for rows in _cli_sweep(tmp_path, "hi_frac", ["0.5", "1", "2", "3"])]
+    assert all(b >= a for a, b in zip(scale, scale[1:])), scale
+    assert scale[-1] > scale[0], scale
 
 
 def test_active_trends():

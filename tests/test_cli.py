@@ -39,6 +39,10 @@ def write_atoms(tmp_path, name="atoms.csv"):
     return f
 
 
+# The keys that take a float (or, for mu and sigma, a schedule), in schema order.
+FLOAT_KEYS = ("alpha", "lambda", "gamma", "delta", "lo_frac", "hi_frac", "mu", "sigma",
+              "rate", "rate_base", "rate_vol", "w0", "z_tol", "cdf_tol")
+
 # A config that sets every key, in its canonical text: schema order, shortest
 # float reprs.
 EVERY_KEY = """\
@@ -210,17 +214,30 @@ class TestRunSolve:
 
 
 class TestRunSweep:
-    def test_single_point_matches_solve(self, tmp_path):
+    def test_params_are_the_float_keys_and_rate_mode(self):
+        assert cli.SWEEP_PARAMS == (*FLOAT_KEYS, "rate-mode")
+
+    # lambda is the key whose RunConfig field has another name (lam).
+    GRIDS = {
+        "alpha": ["0.5", "0.88"],
+        "lambda": ["1.5", "3"],
+        "gamma": ["0.5", "0.9"],
+        "lo_frac": ["-2", "0"],
+        "hi_frac": ["0.5", "3"],
+    }
+
+    @pytest.mark.parametrize("param", GRIDS)
+    def test_single_point_matches_solve(self, tmp_path, param):
         """Each grid value's block equals a solve of that one variant, in grid order."""
+        grid = self.GRIDS[param]
         f = write_atoms(tmp_path)
         base = f"atom_file = {f}\nhorizon = 2\nout_dir = {tmp_path}/out"
         cfg = parse_config(base)
-        grid = ["0.5", "0.88"]
-        sweep_path = cli.run_sweep(cfg, "alpha", grid)
+        sweep_path = cli.run_sweep(cfg, param, grid)
         sweep_rows = [ln.split(",") for ln in sweep_path.read_text().strip().splitlines()[1:]]
         assert len(sweep_rows) == 2 * len(grid)
         for i, value in enumerate(grid):
-            solve_path = cli.run_solve(parse_config(f"{base}\nalpha = {value}"))
+            solve_path = cli.run_solve(parse_config(f"{base}\n{param} = {value}"))
             solve_rows = [ln.split(",") for ln in solve_path.read_text().strip().splitlines()[2:]]
             assert len(solve_rows) == 2
             for srow, prow in zip(sweep_rows[2 * i:2 * i + 2], solve_rows):
@@ -237,6 +254,15 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             cli.run_sweep(cfg, "alpha", ["0.5", "1.7"])
         assert not (tmp_path / "out" / "sweep_alpha.csv").exists()
+
+    def test_grid_items_are_single_values(self, tmp_path):
+        # mu's caster reads "0.1,0.2" as a schedule, which no label can name.
+        cfg = parse_config(f"horizon = 2\ngrid_points = 11\nout_dir = {tmp_path}/out")
+        with pytest.raises(ConfigError, match="grid"):
+            cli.run_sweep(cfg, "mu", ["0.1,0.2"])
+        lines = cli.run_sweep(cfg, "mu", [0.1, 0.2]).read_text().splitlines()[1:]
+        labels = ["0.10000000000000001"] * 2 + ["0.20000000000000001"] * 2
+        assert [ln.split(",")[0] for ln in lines] == labels
 
     def test_rejects_unknown_param(self, tmp_path):
         cfg = parse_config(f"out_dir = {tmp_path}/out")
@@ -328,6 +354,28 @@ class TestMainExitCodes:
         code = cli.main(["solve", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_path_step_bound_binds_only_simulate(self, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "long.cfg"
+        cfg_file.write_text("horizon = 300\n")  # 300 periods x the default 10000 paths
+        for argv in (["solve"], ["value"], ["sweep", "--param", "alpha", "--grid", "0.5"]):
+            assert cli.main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+
+        def solve_called(*args, **kwargs):
+            raise AssertionError("the bound must hold before anything is solved")
+
+        monkeypatch.setattr(cli, "backward_induction", solve_called)
+        out = tmp_path / "simulated"
+        assert cli.main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: n_paths * horizon must be <= 2000000, got 3000000\n"
+        assert not out.exists()
+
+        cfg_file.write_text("horizon = 2000001\nn_paths = 1\n")
+        assert cli.main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: horizon must be")
+        assert not out.exists()
 
     def test_demo_grid_too_small_is_exit_1(self, tmp_path, capsys):
         code = cli.main(
@@ -553,9 +601,7 @@ def test_policy_has_no_negative_zero_when_lo_frac_is_0(tmp_path):
 # One bad config per parameter rule. Each must end in exit 1 and a single
 # stderr line that names the offending key as the user wrote it.
 BAD_CONFIGS = [
-    *((f"{key} = inf", key) for key in (
-        "alpha", "lambda", "gamma", "delta", "lo_frac", "hi_frac", "mu", "sigma",
-        "rate", "rate_base", "rate_vol", "w0", "z_tol", "cdf_tol")),
+    *((f"{key} = inf", key) for key in FLOAT_KEYS),
     ("horizon = 2\nmu = 0.1,nan", "mu"),
     ("mu = ,", "mu"),
     ("alpha = 0", "alpha"),
@@ -673,6 +719,14 @@ def probe_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
+# Probes whose whole stderr line is pinned: a swept key's error names the key.
+PINNED_ERRORS = {
+    "sweep_lambda": "config error: lambda must be finite and satisfy lambda > 1, got 0.5\n",
+    "sweep_rate_vol": "config error: rate_vol must be >= 0, got -1.0\n",
+    "sweep_w0_nan": "config error: w0 must be finite\n",
+}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv, code",
@@ -712,6 +766,9 @@ def probe_dir(tmp_path, monkeypatch):
         (["solve", "--config", "huge_lambda.cfg"], 2),
         (["value", "--config", "huge_lambda.cfg"], 2),
         (["demo", "--config", "huge_lambda.cfg"], 2),
+        (["sweep", "--param", "lambda", "--grid", "0.5"], 1),
+        (["sweep", "--param", "rate_vol", "--grid", "-1"], 1),
+        (["sweep", "--param", "w0", "--grid", "nan"], 1),
     ],
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
@@ -722,13 +779,14 @@ def probe_dir(tmp_path, monkeypatch):
          "terminal_corner_overflow", "demo_bounds_width_overflow", "bounds_width_overflow",
          "sweep_empty_grid", "sweep_unknown_rate_mode", "value_overflow_atoms",
          "value_overflow_normal", "loss_leg_overflow_solve", "loss_leg_overflow_value",
-         "loss_leg_overflow_demo"],
+         "loss_leg_overflow_demo", "sweep_lambda", "sweep_rate_vol", "sweep_w0_nan"],
 )
-def test_bad_input_is_one_line(probe_dir, capsys, argv, code):
+def test_bad_input_is_one_line(probe_dir, capsys, request, argv, code):
     assert cli.main(argv) == code
     prefix = "config error: " if code == 1 else "numerical failure: "
     err = capsys.readouterr().err
     assert_one_line(err, prefix)
+    assert PINNED_ERRORS.get(request.node.callspec.id, err) == err
     assert not list(probe_dir.rglob("*.tmp"))
     if "--demo-grid" in argv:
         assert "demo grid" in err and "grid_points" not in err, err
@@ -782,6 +840,7 @@ TINY = "grid_points = 11\ny_nodes = 4\nr_nodes = 4\nhorizon = 3\nn_paths = 5\n"
 @given(fuzz_case())
 @example(("mu = 1e300\n" + TINY, ["simulate"]))
 @example(("rate_vol = 1e308\n" + TINY, ["sweep", "--param", "mu", "--grid", "0.045"]))
+@example((TINY, ["sweep", "--param", "hi_frac", "--grid", "0.3,1.5"]))
 def test_main_fuzz_exits_cleanly(case):
     text, argv = case
     err = io.StringIO()
