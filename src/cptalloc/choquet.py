@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadpack import quad
 from .dist import DiscreteEmpirical, Distribution, _sorted_distinct
 from .errors import NumericalError
 from .prefs import CptPreferences, _weight
@@ -35,6 +34,15 @@ __all__ = ["CptValue", "cpt_discrete", "cpt_cdf", "cpt_scaled_position", "TAIL_M
 TAIL_MASS = 1e-10
 
 _QUAD_LIMIT = 400
+
+
+def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
+    """QUADPACK's QAGS, ``cptalloc._quadpack.quad``, imported on the first
+    quadrature: atoms are evaluated exactly, so commands on an atom_file
+    should not pay to compile the port."""
+    from ._quadpack import quad as qags
+
+    return qags(f, a, b, epsabs, epsrel, limit)
 
 
 @dataclass(frozen=True)

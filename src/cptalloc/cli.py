@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import os
 import re
 import sys
@@ -30,8 +29,8 @@ from .dist import (
 )
 from .errors import ConfigError, NumericalError
 from .prefs import CptPreferences
-from .simulate import inconsistency_demo, paths_to_csv, simulate_paths, summary_to_csv
 from .solver import Constraints, PolicyTable, SolverSettings, backward_induction
+# run_simulate and run_demo import simulate themselves: no other command compiles it.
 
 __all__ = [
     "RunConfig",
@@ -247,6 +246,8 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    import hashlib  # OpenSSL's import is paid only by the commands that write policy.csv
+
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
 
 
@@ -309,6 +310,8 @@ def run_simulate(cfg: RunConfig, out_dir: str | None = None) -> list[Path]:
         cfg.n_paths * cfg.horizon <= MAX_PATH_STEPS,
         f"n_paths * horizon must be <= {MAX_PATH_STEPS}, got {cfg.n_paths * cfg.horizon}",
     )
+    from .simulate import paths_to_csv, simulate_paths, summary_to_csv
+
     schedule = cfg.y_schedule()  # one read of an atom_file serves both
     table = _solve_table(cfg, schedule)
     paths, summary = simulate_paths(
@@ -369,6 +372,8 @@ def run_demo(
     out_dir: str | None = None,
 ) -> Path:
     """Run the two-period precommitment demo and write its report."""
+    from .simulate import inconsistency_demo
+
     y = cfg.y_distribution()
     if not isinstance(y, DiscreteEmpirical):
         raise ConfigError("demo requires a finite return distribution (set atom_file)")
@@ -379,6 +384,23 @@ def run_demo(
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); config errors map to 1
         raise ConfigError(message)
+
+
+# Options whose value may be negative. argparse reads a value that starts with
+# '-' as an option unless it is a plain negative number (not -1e-3, nor a grid
+# -0.1,0.2), so main joins such a value to its flag as --flag=value.
+_SIGNED_OPTIONS = ("--grid", "--amount", "--r-low", "--r-high")
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> _Parser:
@@ -416,7 +438,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
         cfg = load_config(args.config) if args.config else RunConfig()
         if getattr(args, "seed", None) is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)

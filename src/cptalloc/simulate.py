@@ -52,6 +52,10 @@ _QCOLS = tuple(f"wealth_q{int(q * 100):02d}" for q in _QUANTS)
 MAX_DEMO_GRID = 201
 DEMO_BLOCK_ENTRIES = 2**17
 
+# paths.csv converts this many paths' fields to Python floats at a time, so the
+# float objects of the whole ensemble are never alive at once.
+CSV_BLOCK_PATHS = 256
+
 
 def _column_quantile(a: np.ndarray, q: float) -> np.ndarray:
     """np.quantile(a, q, axis=0) for finite a and a float q in [0, 1]: numpy's
@@ -315,7 +319,9 @@ def paths_to_csv(paths: PathEnsemble) -> str:
     fields = np.concatenate((per_period.reshape(-1, 4 * T), paths.wealth[:, -1:]), axis=1)
     # One join over a list that holds the header: the multi-MB text is built once.
     lines = ["path,t,W,v,r,y\n"]
-    lines.extend(template.format(i, *vals) for i, vals in enumerate(fields.tolist()))
+    for start in range(0, len(fields), CSV_BLOCK_PATHS):
+        block = fields[start:start + CSV_BLOCK_PATHS].tolist()
+        lines.extend(template.format(i, *vals) for i, vals in enumerate(block, start))
     return "".join(lines)
 
 

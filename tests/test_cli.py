@@ -392,6 +392,43 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "value = " in out and "gain_part = " in out and "loss_part = " in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--param", "mu", "--grid", "-0.1,0.2"],
+            ["sweep", "--param", "mu", "--grid", "-.1"],
+            ["value", "--amount", "-1e-3"],
+            ["value", "--amount", "-.5"],
+            ["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "5",
+             "--r-low", "-0.1", "--r-high", "-5e-2"],
+        ],
+        ids=["grid_first_negative", "grid_leading_dot", "amount_exponent", "amount_leading_dot",
+             "demo_rates"],
+    )
+    def test_negative_values_read_like_the_equals_form(self, tmp_path, capsys, argv):
+        # argparse alone takes these values for options and exits with
+        # "expected one argument"; --flag=value always worked.
+        (tmp_path / "tiny.cfg").write_text("horizon = 2\ngrid_points = 11\ny_nodes = 4\nr_nodes = 4\n")
+        if "--config" not in argv:
+            argv = [*argv, "--config", str(tmp_path / "tiny.cfg")]
+        joined = list(argv)
+        for flag in ("--grid", "--amount", "--r-low", "--r-high"):
+            if flag in joined:
+                i = joined.index(flag)
+                joined[i:i + 2] = [f"{flag}={joined[i + 1]}"]
+        out = tmp_path / "out"  # value writes no file
+        runs = []
+        for args in (argv, joined):
+            assert cli.main([*args, "--out", str(out)]) == 0
+            files = sorted(out.iterdir()) if out.exists() else []
+            runs.append((capsys.readouterr(), [(f.name, f.read_bytes()) for f in files]))
+        assert runs[0] == runs[1]
+        assert runs[0][0].err == ""
+
+    def test_a_dash_before_a_letter_still_reads_as_an_option(self, capsys):
+        assert cli.main(["value", "--amount", "-x"]) == 1
+        assert capsys.readouterr().err == "config error: argument --amount: expected one argument\n"
+
     def test_simulate_writes_ensemble(self, tmp_path):
         f = write_atoms(tmp_path)
         cfg_file = tmp_path / "run.cfg"

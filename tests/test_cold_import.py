@@ -1,17 +1,24 @@
-"""No command loads scipy, concurrent.futures or numpy.ma.
+"""Each command loads only the modules it runs, and none loads scipy.
 
-Each case runs in a fresh interpreter and reports whether scipy,
-concurrent.futures, the Cephes port `cptalloc._ndtr` and numpy.ma are in
-sys.modules when the command has finished. `Normal.cdf` and
-`Normal.quantile` run the port, and `choquet.quad` is QUADPACK's QAGS in
-Python, so no command needs scipy. A sweep solves its variants on the
-calling thread, so none needs concurrent.futures. numpy's np.unique and
-np.quantile import numpy.ma, so no command calls either. As a positive
-control the port is imported lazily, by Normal-law commands only, so the
-probe is known to see an import when one happens. One Normal-law solve also
-runs with scipy made unimportable.
+Each case runs in a fresh interpreter and reports which cptalloc modules, and
+which of scipy, concurrent.futures, numpy.ma and hashlib, are in sys.modules
+when the command has finished. `import cptalloc` loads no submodule: its
+names resolve on first access. The CLI loads errors, prefs, dist, choquet
+and solver; only simulate and demo load simulate, and only the commands that
+write policy.csv (solve, simulate) load hashlib for its config hash. A
+Normal law loads the Cephes port `_ndtr` and the QAGS port `_quadpack`;
+atoms load neither. No command needs scipy: `Normal.cdf` and
+`Normal.quantile` run the Cephes port, and `choquet.quad` runs the QAGS
+port. A sweep solves its variants on the calling thread, so none needs
+concurrent.futures. numpy's np.unique and np.quantile import numpy.ma, so
+no command calls either. Each lazily imported module is also expected by
+some case, so the probe is known to see an import when one happens. The
+package surface is checked here too: every public name resolves, lazily,
+to the object its home module defines.
 """
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -19,17 +26,22 @@ from pathlib import Path
 
 import pytest
 
+import cptalloc
 import cptalloc.cli as cli
 
 SRC_DIR = Path(cli.__file__).resolve().parent.parent
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-PROBE = """
+WATCHED = ("scipy", "concurrent.futures", "numpy.ma", "hashlib")
+PROBE = f"""
 import sys
-from cptalloc.cli import main
-if sys.argv[1:] and main(sys.argv[1:]) != 0:
-    sys.exit("command failed")
-print(*(name in sys.modules for name in ("scipy", "concurrent.futures", "cptalloc._ndtr", "numpy.ma")))
+if sys.argv[1:] == ["--import-only"]:
+    import cptalloc
+else:
+    from cptalloc.cli import main
+    if sys.argv[1:] and main(sys.argv[1:]) != 0:
+        sys.exit("command failed")
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "cptalloc" or m in {WATCHED!r}))
 """
 
 TINY = "horizon = 2\nn_paths = 5\ngrid_points = 11\ny_nodes = 4\nr_nodes = 4\n"
@@ -41,53 +53,95 @@ CONFIGS = {
     "atoms_sqrt_t.cfg": ATOMS + "rate_model = sqrt_t\n",
 }
 
+CLI = {f"cptalloc{m}" for m in ("", ".cli", ".errors", ".prefs", ".dist", ".choquet", ".solver")}
+NORMAL = {"cptalloc._ndtr", "cptalloc._quadpack"}
+SIMULATE = {"cptalloc.simulate"}
+HASHLIB = {"hashlib"}
+
 
 def loaded_modules(tmp_path, argv, prelude=""):
-    """Whether the command left (scipy, concurrent.futures, cptalloc._ndtr, numpy.ma) in sys.modules."""
+    """The cptalloc and WATCHED modules in sys.modules once the command has run."""
     for name, text in CONFIGS.items():
         (tmp_path / name).write_text(text)
-    if argv:
+    if argv and argv != ["--import-only"]:
         argv = [*argv, "--out", "out"]
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     res = subprocess.run([sys.executable, "-c", prelude + PROBE, *argv], cwd=tmp_path, env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    return tuple({"True": True, "False": False}[v] for v in res.stdout.splitlines()[-1].split())
+    return set(res.stdout.splitlines()[-1].split())
 
 
+SWEEP = ["sweep", "--param", "alpha", "--grid", "0.5,0.88"]
+
+
+# Each case asserts the exact set, which leaves out scipy and the other WATCHED
+# modules unless named.
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expected",
     [
-        [],
-        ["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "5"],
-        ["value", "--config", "atoms.cfg"],
-        ["solve", "--config", "atoms.cfg"],
-        ["simulate", "--config", "atoms_fixed.cfg"],
-        ["simulate", "--config", "atoms_sqrt_t.cfg"],
-        ["sweep", "--config", "atoms.cfg", "--param", "alpha", "--grid", "0.5,0.88"],
+        (["--import-only"], {"cptalloc"}),
+        ([], CLI),
+        (["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "5"], CLI | SIMULATE),
+        (["value", "--config", "atoms.cfg"], CLI),
+        (["solve", "--config", "atoms.cfg"], CLI | HASHLIB),
+        (["simulate", "--config", "atoms_fixed.cfg"], CLI | SIMULATE | HASHLIB),
+        (["simulate", "--config", "atoms_sqrt_t.cfg"], CLI | SIMULATE | HASHLIB),
+        ([*SWEEP, "--config", "atoms.cfg"], CLI),
     ],
-    ids=["import_cli", "demo", "value_atoms", "solve_atoms", "simulate_atoms_fixed",
-         "simulate_atoms_sqrt_t", "sweep_atoms"],
+    ids=["import_cptalloc", "import_cli", "demo", "value_atoms", "solve_atoms",
+         "simulate_atoms_fixed", "simulate_atoms_sqrt_t", "sweep_atoms"],
 )
-def test_atom_only_commands_do_not_load_scipy(tmp_path, argv):
-    assert loaded_modules(tmp_path, argv) == (False, False, False, False)
+def test_atom_only_commands_do_not_load_scipy(tmp_path, argv, expected):
+    assert loaded_modules(tmp_path, argv) == expected
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expected",
     [
-        ["value", "--config", "normal.cfg"],
-        ["solve", "--config", "normal.cfg"],
-        ["simulate", "--config", "normal.cfg"],
-        ["sweep", "--config", "normal.cfg", "--param", "alpha", "--grid", "0.5,0.88"],
+        (["value", "--config", "normal.cfg"], CLI | NORMAL),
+        (["solve", "--config", "normal.cfg"], CLI | NORMAL | HASHLIB),
+        (["simulate", "--config", "normal.cfg"], CLI | NORMAL | SIMULATE | HASHLIB),
+        ([*SWEEP, "--config", "normal.cfg"], CLI | NORMAL),
     ],
     ids=["value", "solve", "simulate", "sweep"],
 )
-def test_normal_law_commands_do_not_load_scipy(tmp_path, argv):
-    assert loaded_modules(tmp_path, argv) == (False, False, True, False)
+def test_normal_law_commands_do_not_load_scipy(tmp_path, argv, expected):
+    assert loaded_modules(tmp_path, argv) == expected
 
 
 def test_normal_law_solve_runs_without_scipy(tmp_path):
     # A None entry in sys.modules makes `import scipy` raise ImportError.
     prelude = "import sys\nsys.modules['scipy'] = None\n"
-    assert loaded_modules(tmp_path, ["solve", "--config", "normal.cfg"], prelude)[2]
+    assert NORMAL <= loaded_modules(tmp_path, ["solve", "--config", "normal.cfg"], prelude)
+
+
+def test_public_names_are_their_home_modules_objects():
+    assert cptalloc.__all__ == sorted(set(cptalloc.__all__))
+    for name in cptalloc.__all__:
+        obj = getattr(cptalloc, name)
+        home = importlib.import_module(f"cptalloc.{cptalloc._HOME[name]}")
+        assert getattr(home, name) is obj, name
+        # Exported from the module that defines it, not from one that imports it.
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == home.__name__, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(cptalloc.__all__) <= set(dir(cptalloc))
+    assert "__version__" in dir(cptalloc)
+
+
+def test_star_import_binds_every_public_name():
+    code = ("from cptalloc import *\nimport cptalloc\n"
+            "print(*(n for n in cptalloc.__all__ if globals().get(n) is not getattr(cptalloc, n)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == ""
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        cptalloc.no_such_name  # noqa: B018
+    assert not hasattr(cptalloc, "simulate_path")

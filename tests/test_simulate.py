@@ -361,6 +361,36 @@ class TestCsvEmission:
         assert lines[0].startswith("t,wealth_mean,wealth_q05")
         assert len(lines) == 12
 
+    @pytest.mark.parametrize("block", [1, 3, 7, simulate.CSV_BLOCK_PATHS])
+    def test_paths_csv_blocks_keep_the_bytes(self, monkeypatch, block):
+        table = backward_induction(TK, BOUNDS, DeterministicRate(0.03), SKEWED, 4,
+                                   SolverSettings(grid_points=101))
+        paths, _ = simulate_paths(table, GaussianSqrtTRate(0.03, 0.003), SKEWED, 0.8, 7, seed=5)
+        want = ["path,t,W,v,r,y\n"]
+        for i in range(7):
+            for t in range(4):
+                cells = (paths.wealth[i, t], paths.trades[i, t], paths.rates[i, t],
+                         paths.excess_returns[i, t])
+                want.append(f"{i},{t}," + ",".join(f"{float(c):.17g}" for c in cells) + "\n")
+            want.append(f"{i},4,{float(paths.wealth[i, 4]):.17g},,,\n")
+        monkeypatch.setattr(simulate, "CSV_BLOCK_PATHS", block)
+        assert paths_to_csv(paths) == "".join(want)
+
+    def test_paths_csv_memory_is_bounded_by_its_block(self):
+        # Unblocked, the Python floats of all 4000 x 21 fields take about 1.5
+        # times the text on top of the text's list and its join.
+        rng = np.random.default_rng(3)
+        paths = PathEnsemble(rng.standard_normal((4000, 6)),
+                             *rng.standard_normal((3, 4000, 5)))
+        paths_to_csv(paths)
+        tracemalloc.start()
+        try:
+            text = paths_to_csv(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * len(text)
+
 
 class TestInconsistencyDemo:
     def test_equal_rates_coincide(self):
