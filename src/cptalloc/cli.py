@@ -9,7 +9,10 @@ failure, such as a prospect value that overflows float64.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import functools
+import gc
 import os
 import re
 import sys
@@ -388,7 +391,9 @@ class _Parser(argparse.ArgumentParser):
 
 # Options whose value may be negative. argparse reads a value that starts with
 # '-' as an option unless it is a plain negative number (not -1e-3, nor a grid
-# -0.1,0.2), so main joins such a value to its flag as --flag=value.
+# -0.1,0.2), so main joins such a value to its flag as --flag=value. The flag
+# may be any prefix that names one of them, as argparse reads --am as --amount;
+# a prefix of two, such as --r, is left for argparse to reject as ambiguous.
 _SIGNED_OPTIONS = ("--grid", "--amount", "--r-low", "--r-high")
 _SIGNED_VALUE = re.compile(r"-[\d.]")
 
@@ -396,7 +401,7 @@ _SIGNED_VALUE = re.compile(r"-[\d.]")
 def _join_signed_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(arg):
+        if out and _SIGNED_VALUE.match(arg) and sum(o.startswith(out[-1]) for o in _SIGNED_OPTIONS) == 1:
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -436,7 +441,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    # At shutdown CPython runs full collections over every object still alive
+    # (about 22,000 once numpy is loaded), only to free memory the OS takes back
+    # anyway. gc.freeze moves them all out of the collector's reach; it runs at
+    # exit, so an in-process caller's heap stays collectable while it lives.
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     try:
         args = _build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
         cfg = load_config(args.config) if args.config else RunConfig()

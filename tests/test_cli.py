@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import os
@@ -395,30 +396,30 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sweep", "--param", "mu", "--grid", "-0.1,0.2"],
-            ["sweep", "--param", "mu", "--grid", "-.1"],
-            ["value", "--amount", "-1e-3"],
-            ["value", "--amount", "-.5"],
+            ["sweep", "--param", "mu", "--grid=-0.1,0.2"],
+            ["sweep", "--param", "mu", "--grid=-.1"],
+            ["sweep", "--param", "lo_frac", "--gr=-0.5,-0.2"],
+            ["value", "--amount=-1e-3"],
+            ["value", "--amount=-.5"],
+            ["value", "--am=-1e-3"],
             ["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "5",
-             "--r-low", "-0.1", "--r-high", "-5e-2"],
+             "--r-low=-0.1", "--r-high=-5e-2"],
+            ["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "5",
+             "--r-l=-0.1", "--r-h=-5e-2"],
         ],
-        ids=["grid_first_negative", "grid_leading_dot", "amount_exponent", "amount_leading_dot",
-             "demo_rates"],
+        ids=["grid_first_negative", "grid_leading_dot", "grid_prefix", "amount_exponent",
+             "amount_leading_dot", "amount_prefix", "demo_rates", "demo_rate_prefixes"],
     )
     def test_negative_values_read_like_the_equals_form(self, tmp_path, capsys, argv):
-        # argparse alone takes these values for options and exits with
-        # "expected one argument"; --flag=value always worked.
+        # argparse alone takes the spaced values for options and exits with
+        # "expected one argument"; --flag=value, or a prefix of the flag, always worked.
         (tmp_path / "tiny.cfg").write_text("horizon = 2\ngrid_points = 11\ny_nodes = 4\nr_nodes = 4\n")
         if "--config" not in argv:
             argv = [*argv, "--config", str(tmp_path / "tiny.cfg")]
-        joined = list(argv)
-        for flag in ("--grid", "--amount", "--r-low", "--r-high"):
-            if flag in joined:
-                i = joined.index(flag)
-                joined[i:i + 2] = [f"{flag}={joined[i + 1]}"]
+        spaced = [part for arg in argv for part in arg.split("=")]
         out = tmp_path / "out"  # value writes no file
         runs = []
-        for args in (argv, joined):
+        for args in (spaced, argv):
             assert cli.main([*args, "--out", str(out)]) == 0
             files = sorted(out.iterdir()) if out.exists() else []
             runs.append((capsys.readouterr(), [(f.name, f.read_bytes()) for f in files]))
@@ -428,6 +429,19 @@ class TestMainExitCodes:
     def test_a_dash_before_a_letter_still_reads_as_an_option(self, capsys):
         assert cli.main(["value", "--amount", "-x"]) == 1
         assert capsys.readouterr().err == "config error: argument --amount: expected one argument\n"
+
+    def test_a_prefix_of_two_signed_options_is_left_ambiguous(self, capsys):
+        assert cli.main(["demo", "--r", "-0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: ambiguous option: --r could match --r-low, --r-high\n"
+
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys):
+        # The exit hook freezes the heap only when the interpreter exits.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"atom_file = {write_atoms(tmp_path).name}\n")
+        state = gc.get_freeze_count(), gc.isenabled()
+        assert cli.main(["value", "--config", str(cfg_file)]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == state
 
     def test_simulate_writes_ensemble(self, tmp_path):
         f = write_atoms(tmp_path)

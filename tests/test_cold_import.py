@@ -14,7 +14,10 @@ concurrent.futures. numpy's np.unique and np.quantile import numpy.ma, so
 no command calls either. Each lazily imported module is also expected by
 some case, so the probe is known to see an import when one happens. The
 package surface is checked here too: every public name resolves, lazily,
-to the object its home module defines.
+to the object its home module defines. Last, a command registers `gc.freeze`
+to run at exit, once per process, so the interpreter's shutdown collections
+skip every object still alive: a cycle made after `main` returns is never
+finalized.
 """
 
 import importlib
@@ -59,17 +62,22 @@ SIMULATE = {"cptalloc.simulate"}
 HASHLIB = {"hashlib"}
 
 
-def loaded_modules(tmp_path, argv, prelude=""):
-    """The cptalloc and WATCHED modules in sys.modules once the command has run."""
+def fresh_interpreter(tmp_path, code, *argv):
+    """Run code in a new interpreter in tmp_path, beside CONFIGS; return its stdout."""
     for name, text in CONFIGS.items():
         (tmp_path / name).write_text(text)
-    if argv and argv != ["--import-only"]:
-        argv = [*argv, "--out", "out"]
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    res = subprocess.run([sys.executable, "-c", prelude + PROBE, *argv], cwd=tmp_path, env=env,
+    res = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    return set(res.stdout.splitlines()[-1].split())
+    return res.stdout
+
+
+def loaded_modules(tmp_path, argv, prelude=""):
+    """The cptalloc and WATCHED modules in sys.modules once the command has run."""
+    if argv and argv != ["--import-only"]:
+        argv = [*argv, "--out", "out"]
+    return set(fresh_interpreter(tmp_path, prelude + PROBE, *argv).splitlines()[-1].split())
 
 
 SWEEP = ["sweep", "--param", "alpha", "--grid", "0.5,0.88"]
@@ -132,16 +140,60 @@ def test_dir_lists_every_public_name():
     assert "__version__" in dir(cptalloc)
 
 
-def test_star_import_binds_every_public_name():
+def test_star_import_binds_every_public_name(tmp_path):
     code = ("from cptalloc import *\nimport cptalloc\n"
             "print(*(n for n in cptalloc.__all__ if globals().get(n) is not getattr(cptalloc, n)))")
-    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == ""
+    assert fresh_interpreter(tmp_path, code).strip() == ""
 
 
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         cptalloc.no_such_name  # noqa: B018
     assert not hasattr(cptalloc, "simulate_path")
+
+
+# The cycle is made after main returns, with automatic collection off, so only
+# the collections at interpreter shutdown, which run even so, can find it. Its
+# finalizer writes through an fd opened beforehand.
+EXIT_PROBE = """
+import gc, os, sys
+from cptalloc.cli import main
+fd = os.open("marker", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+if sys.argv[1:] and main(sys.argv[1:]) != 0:
+    sys.exit("command failed")
+gc.disable()
+
+class Cycle:
+    def __del__(self, write=os.write, fd=fd):
+        write(fd, b"finalized")
+
+cycle = Cycle()
+cycle.self = cycle
+del cycle
+"""
+
+
+@pytest.mark.parametrize("argv, marker", [([], "finalized"), (["value", "--config", "atoms.cfg"], "")],
+                         ids=["import_only", "value_atoms"])
+def test_a_command_skips_the_collections_at_exit(tmp_path, argv, marker):
+    # With cptalloc.cli imported but no command run, the shutdown collections
+    # finalize the cycle, which shows that the probe sees them run; after a
+    # command the heap is frozen first.
+    fresh_interpreter(tmp_path, EXIT_PROBE, *argv)
+    assert (tmp_path / "marker").read_text() == marker
+
+
+def test_main_registers_the_exit_hook_once(tmp_path):
+    code = """
+import atexit, gc, sys
+from cptalloc.cli import main
+hooks = []
+register = atexit.register
+atexit.register = lambda func, *args, **kwargs: hooks.append(func) or register(func, *args, **kwargs)
+for _ in range(2):
+    if main(sys.argv[1:]) != 0:
+        sys.exit("command failed")
+print(sum(func is gc.freeze for func in hooks))
+"""
+    out = fresh_interpreter(tmp_path, code, "value", "--config", "atoms.cfg")
+    assert out.splitlines()[-1] == "1"
