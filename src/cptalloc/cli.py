@@ -50,9 +50,11 @@ __all__ = [
 ]
 
 RATE_MODES = ("fixed", "sqrt_t")
+# Bounds every command's horizon. A period that the kernel solves takes about
+# 8 ms at the default grid and nodes; solver.MAX_TENSOR admits 16 times that.
+MAX_HORIZON = 1_000
 # Bounds the simulated ensemble (and paths.csv, ~75 bytes per step) before
 # anything is solved or allocated: 20 times the default 10000 paths x 10 periods.
-# It also bounds every command's horizon.
 MAX_PATH_STEPS = 2_000_000
 
 
@@ -94,7 +96,7 @@ class RunConfig:
         _require(self.rate_model in RATE_MODES, f"rate_model must be one of {RATE_MODES}")
         if self.rate_model == "fixed":
             _require(self.rate is not None, "missing required key: rate (needed when rate_model = fixed)")
-        _require(1 <= self.horizon <= MAX_PATH_STEPS, f"horizon must be in [1, {MAX_PATH_STEPS}]")
+        _require(1 <= self.horizon <= MAX_HORIZON, f"horizon must be in [1, {MAX_HORIZON}]")
         for key in ("mu", "sigma"):
             val = getattr(self, key)
             if isinstance(val, tuple):
@@ -348,7 +350,9 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
     if param in ("mu", "sigma") and cfg.atom_file is not None:
         raise ConfigError(f"cannot sweep {param}: atom_file overrides mu and sigma")
     variants = [_sweep_variant(cfg, param, v) for v in grid]  # validate all first
-    tables = [_solve_table(v, v.y_schedule()) for v in variants]
+    # Only mu and sigma change the laws; the other variants share one read of an atom_file.
+    shared = None if param in ("mu", "sigma") else cfg.y_schedule()
+    tables = [_solve_table(v, shared or v.y_schedule()) for v in variants]
 
     lines = ["param_value,t,kStar,kHatStar,A_t,B_t\n"]
     for value, table in zip(grid, tables):

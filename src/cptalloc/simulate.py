@@ -98,7 +98,7 @@ class PathEnsemble:
         if not (n and T and self.wealth.shape == (n, T + 1)
                 and self.rates.shape == self.excess_returns.shape == (n, T)):
             raise ValueError("need (n, T+1) wealth and (n, T) trades, rates, excess_returns, n, T >= 1")
-        for name in ("wealth", "trades", "rates", "excess_returns"):
+        for name in ("rates", "excess_returns", "wealth", "trades"):  # the draws first
             arr = getattr(self, name)
             bad = ~np.isfinite(arr)
             if bad.any():
@@ -273,18 +273,18 @@ def simulate_paths(
                       "has_uint32": 0, "uinteger": 0}
         for fill, cols in fills:
             fill(out=row[cols])
-    rates = rate_model.from_variates(periods, raw[:, :k])
-    ys = np.empty((n_paths, T))
-    for t, d in enumerate(schedule):
-        ys[:, t] = d.from_variates(raw[:, k + t])
-
-    # optimal_trade's branch on the wealth sign and step_wealth, on all paths.
-    k_star = [row.k_star for row in policy.rows]
-    k_hat_star = [row.k_hat_star for row in policy.rows]
-    wealth = np.empty((n_paths, T + 1))
-    trades = np.empty((n_paths, T))
-    wealth[:, 0] = w0
     with np.errstate(over="ignore", invalid="ignore"):  # PathEnsemble rejects the result
+        rates = rate_model.from_variates(periods, raw[:, :k])
+        ys = np.empty((n_paths, T))
+        for t, d in enumerate(schedule):
+            ys[:, t] = d.from_variates(raw[:, k + t])
+
+        # optimal_trade's branch on the wealth sign and step_wealth, on all paths.
+        k_star = [row.k_star for row in policy.rows]
+        k_hat_star = [row.k_hat_star for row in policy.rows]
+        wealth = np.empty((n_paths, T + 1))
+        trades = np.empty((n_paths, T))
+        wealth[:, 0] = w0
         for t in range(T):
             w = wealth[:, t]
             trades[:, t] = np.where(w >= 0.0, k_star[t], k_hat_star[t]) * w

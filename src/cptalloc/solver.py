@@ -338,12 +338,6 @@ def recursion_step(
     # Overflowing powers become inf or nan; _finite_max turns a non-finite
     # maximum into a NumericalError, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        if a_next == 0.0 and b_next == 0.0:
-            # Both objectives are exactly 0 wherever the tensor is finite, and
-            # the tie-break picks +0 for both. q is affine in z, so an
-            # overflow anywhere on a grid shows at its ends.
-            _finite_max(mix_batch(np.array([lo, hi, -hi, -lo]), a_next, -b_next))
-            return PolicyCoefficients(t, 0.0, 0.0, 0.0, 0.0)
         k_star, a_coef = _grid_then_golden(
             lambda zs: mix_batch(zs, a_next, -b_next), lo, hi, settings
         )
@@ -384,6 +378,10 @@ def backward_induction(
         raise NumericalError(f"terminal period {horizon - 1}: {exc}") from exc
 
     for t in range(horizon - 2, -1, -1):
+        if rows[-1].a_coef == rows[-1].b_coef == 0.0:
+            # Every fraction scores 0: the least exposure, +0, wins on both signs.
+            rows.append(PolicyCoefficients(t, 0.0, 0.0, 0.0, 0.0))
+            continue
         try:
             rows.append(
                 recursion_step(prefs, constraints, rows[-1], rate_model, schedule[t], settings)

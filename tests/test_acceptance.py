@@ -266,15 +266,19 @@ def _cli_sweep(tmp_path, param, grid):
     return list(blocks.values())
 
 
-def test_distortion_and_constraint_trends(tmp_path):
+def _two_atom_sweep_config(tmp_path, atoms="1.3,0.8\n-0.5,0.2\n"):
     # Two atoms and a fixed rate make every expectation a finite sum and the
     # terminal statistics cpt_discrete's exact values; alpha = 0.5 puts the
     # pre-terminal optimum inside the bounds, where golden refinement picks it.
-    (tmp_path / "atoms.csv").write_text("value,probability\n1.3,0.8\n-0.5,0.2\n")
+    (tmp_path / "atoms.csv").write_text("value,probability\n" + atoms)
     (tmp_path / "sweep.cfg").write_text(
         "atom_file = atoms.csv\nalpha = 0.5\nlo_frac = -2\nhi_frac = 2\n"
         "rate_model = fixed\nrate = 0.03\nhorizon = 4\n"
     )
+
+
+def test_distortion_and_constraint_trends(tmp_path):
+    _two_atom_sweep_config(tmp_path)
     z_tol = SolverSettings.z_tol
 
     # lambda reaches the solve only through the terminal scale A_{T-1}.
@@ -295,6 +299,26 @@ def test_distortion_and_constraint_trends(tmp_path):
     scale = [rows[-1][3] for rows in _cli_sweep(tmp_path, "hi_frac", ["0.5", "1", "2", "3"])]
     assert all(b >= a for a, b in zip(scale, scale[1:])), scale
     assert scale[-1] > scale[0], scale
+
+
+def test_gamma_trend_keeps_every_earlier_fraction(tmp_path):
+    # The gain's decision weight w(0.8) rises with gamma on this grid (0.37 to
+    # 0.79), and so does the long terminal corner; no earlier optimum moves.
+    _two_atom_sweep_config(tmp_path)
+    blocks = _cli_sweep(tmp_path, "gamma", ["0.4", "0.5", "0.61", "0.8", "0.95"])
+    scale = [rows[-1][3] for rows in blocks]
+    assert all(b > a for a, b in zip(scale, scale[1:])), scale
+    assert all(0.0 < abs(row[1]) < 2.0 for row in blocks[0][:-1]), blocks[0]
+    for rows in blocks[1:]:
+        assert [row[1:3] for row in rows[:-1]] == [row[1:3] for row in blocks[0][:-1]], rows
+
+
+def test_lo_frac_trend_mirrors_hi_frac(tmp_path):
+    # The mirrored gamble pays off short, so a wider lower bound only adds
+    # terminal corners there, as a wider upper bound does on the gamble.
+    _two_atom_sweep_config(tmp_path, atoms="-1.3,0.8\n0.5,0.2\n")
+    scale = [rows[-1][3] for rows in _cli_sweep(tmp_path, "lo_frac", ["-0.5", "-1", "-2", "-3"])]
+    assert all(b > a for a, b in zip(scale, scale[1:])), scale
 
 
 def test_active_trends():

@@ -373,9 +373,9 @@ class TestMainExitCodes:
         assert err == "config error: n_paths * horizon must be <= 2000000, got 3000000\n"
         assert not out.exists()
 
-        cfg_file.write_text("horizon = 2000001\nn_paths = 1\n")
+        cfg_file.write_text("horizon = 1001\nn_paths = 1\n")
         assert cli.main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error: horizon must be")
+        assert capsys.readouterr().err == "config error: horizon must be in [1, 1000]\n"
         assert not out.exists()
 
     def test_demo_grid_too_small_is_exit_1(self, tmp_path, capsys):
@@ -458,9 +458,8 @@ class TestMainExitCodes:
         paths_lines = (tmp_path / "out" / "paths.csv").read_text().strip().splitlines()
         assert len(paths_lines) == 1 + 8 * 4
 
-    def test_simulate_reads_the_atom_file_once(self, tmp_path, monkeypatch):
-        # The policy and the paths must come from one read of the law.
-        f = write_atoms(tmp_path)
+    @staticmethod
+    def count_atom_reads(monkeypatch):
         reads = []
         from_csv = DiscreteEmpirical.from_csv.__func__
 
@@ -469,8 +468,23 @@ class TestMainExitCodes:
             return from_csv(cls, path)
 
         monkeypatch.setattr(DiscreteEmpirical, "from_csv", classmethod(counting))
+        return reads
+
+    def test_simulate_reads_the_atom_file_once(self, tmp_path, monkeypatch):
+        # The policy and the paths must come from one read of the law.
+        f = write_atoms(tmp_path)
+        reads = self.count_atom_reads(monkeypatch)
         cfg = parse_config(f"atom_file = {f}\nhorizon = 3\nn_paths = 8\ngrid_points = 101\n")
         cli.run_simulate(cfg, str(tmp_path / "out"))
+        assert reads == [str(f)]
+
+    def test_sweep_reads_the_atom_file_once(self, tmp_path, monkeypatch):
+        # An atom_file rules out the mu and sigma sweeps, the only ones that
+        # change the laws, so every grid value solves on one read of it.
+        f = write_atoms(tmp_path)
+        reads = self.count_atom_reads(monkeypatch)
+        cfg = parse_config(f"atom_file = {f}\nhorizon = 3\ngrid_points = 101\n")
+        cli.run_sweep(cfg, "alpha", ["0.5", "0.6", "0.7", "0.88"], str(tmp_path / "out"))
         assert reads == [str(f)]
 
     def test_simulate_artifacts_are_pinned(self, tmp_path):
@@ -634,8 +648,8 @@ def policy_rows(out):
 
 
 def test_zero_rows_trade_nothing_when_0_is_off_the_uniform_grid(tmp_path):
-    # 401 uniform points on [-5, 1] miss 0; the scan adds it, so a zero row
-    # holds exactly +0 instead of the grid point nearest 0.
+    # 401 uniform points on [-5, 1] miss 0; a zero row holds exactly +0, not
+    # the grid point nearest 0.
     text = "lo_frac = -5\nhi_frac = 1\ngrid_points = 401\nhorizon = 3\nn_paths = 20\n"
     out, _ = main_one_blas_thread(tmp_path, text, "simulate", "--seed", "42")
     assert [row[1:] for row in policy_rows(out)] == [["0", "0", "0", "0"]] * 3
@@ -728,9 +742,14 @@ def probe_dir(tmp_path, monkeypatch):
     (tmp_path / "rate_nodes.cfg").write_text(
         "atom_file = atoms.csv\nrate_vol = 1e308\nhorizon = 3\nn_paths = 5\ngrid_points = 101\n"
     )
-    # Baseline mu/sigma: the terminal row is zero, so period 1 is a zero row.
+    # Baseline mu/sigma: a zero policy, whose solve never builds the period
+    # nodes that overflow; its simulated rates still do.
     (tmp_path / "zero_row_overflow.cfg").write_text(
-        "rate_vol = 1e308\nhorizon = 3\ngrid_points = 101\n"
+        "rate_vol = 1e308\nhorizon = 3\ngrid_points = 101\nn_paths = 50\n"
+    )
+    # An active policy whose solve needs no period-1 rate: only the simulation draws it.
+    (tmp_path / "rate_overflow.cfg").write_text(
+        "mu = 0.3\nsigma = 0.5\nrate_vol = 1e308\nhorizon = 2\nn_paths = 50\n"
     )
     (tmp_path / "normal_nodes.cfg").write_text(
         "mu = 0.3,0.3,0.3\nsigma = 1e308,0.5,0.5\nhorizon = 3\ngrid_points = 101\n"
@@ -749,7 +768,8 @@ def probe_dir(tmp_path, monkeypatch):
         (CONFIG_DIR / "demo.cfg").read_text().replace("demo_gamble.csv", str(CONFIG_DIR / "demo_gamble.csv"))
         + "lo_frac = -1e308\nhi_frac = 1e308\n"
     )
-    (tmp_path / "grid.cfg").write_text("grid_points = 100000000\n")
+    # An active law: a zero policy would build no tensor for the bound to catch.
+    (tmp_path / "grid.cfg").write_text("grid_points = 100000000\nmu = 1.0\n")
     # 2000 grid points x 16384 atoms x 1 rate node: the atom count binds.
     rows = "".join(f"{float(v)!r},{2.0**-14!r}\n" for v in np.linspace(-0.5, 1.0, 2**14))
     (tmp_path / "atoms16k.csv").write_text("value,probability\n" + rows)
@@ -797,7 +817,8 @@ PINNED_ERRORS = {
         (["simulate", "--config", "summary_overflow.cfg"], 2),
         (["simulate", "--config", "rate_nodes.cfg"], 2),
         (["solve", "--config", "normal_nodes.cfg"], 2),
-        (["solve", "--config", "zero_row_overflow.cfg"], 2),
+        (["simulate", "--config", "zero_row_overflow.cfg"], 2),
+        (["simulate", "--config", "rate_overflow.cfg"], 2),
         (["solve", "--config", "y_nodes.cfg"], 1),
         (["solve", "--config", "grid.cfg"], 1),
         (["solve", "--config", "atom_tensor.cfg"], 1),
@@ -824,7 +845,8 @@ PINNED_ERRORS = {
     ids=["value_inf", "value_nan", "demo_low_rate", "demo_21_atoms", "out_not_dir",
          "write_fails", "overflow", "quantile_overflow", "wealth_overflow", "path_steps",
          "demo_grid_small", "demo_grid_large", "summary_overflow", "rate_node_overflow",
-         "normal_node_overflow", "zero_row_overflow", "y_nodes_bound", "tensor_bound",
+         "normal_node_overflow", "zero_row_overflow", "simulated_rate_overflow",
+         "y_nodes_bound", "tensor_bound",
          "atom_tensor_bound", "demo_outcome_overflow", "sweep_overridden_param",
          "atom_row_extra_field", "config_not_utf8", "quad_message_solve", "quad_message_value",
          "terminal_corner_overflow", "demo_bounds_width_overflow", "bounds_width_overflow",
@@ -841,6 +863,12 @@ def test_bad_input_is_one_line(probe_dir, capsys, request, argv, code):
     assert not list(probe_dir.rglob("*.tmp"))
     if "--demo-grid" in argv:
         assert "demo grid" in err and "grid_points" not in err, err
+
+
+def test_a_zero_policy_solves_without_the_overflowing_nodes(probe_dir, capsys):
+    assert cli.main(["solve", "--config", "zero_row_overflow.cfg", "--out", "out"]) == 0
+    assert capsys.readouterr().err == ""
+    assert policy_rows(probe_dir / "out") == [[str(t), "0", "0", "0", "0"] for t in range(3)]
 
 
 def test_replace_revalidates():

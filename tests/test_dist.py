@@ -336,9 +336,10 @@ def test_sweep_computes_each_hermite_rule_once(tmp_path, monkeypatch):
     monkeypatch.setattr(dist, "_HERMITE_RULES", {})  # as in a fresh process
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
     (tmp_path / "run.cfg").write_text("horizon = 5\ngrid_points = 101\nrate_model = sqrt_t\n")
-    argv = ["sweep", "--config", str(tmp_path / "run.cfg"), "--param", "mu", "--grid", "0.045,0.3",
+    argv = ["sweep", "--config", str(tmp_path / "run.cfg"), "--param", "mu", "--grid", "1.0,1.5",
             "--out", str(tmp_path)]
     assert cli.main(argv) == 0
+    # Both values give active policies, so every period is a recursion step.
     # Without the cache: one y_nodes rule per recursion step and one r_nodes
     # rule per random-rate step, each sweep value: 2 * (4 + 3) calls.
     assert calls == {cli.RunConfig.y_nodes: 1, cli.RunConfig.r_nodes: 1}

@@ -25,6 +25,7 @@ from cptalloc import (
     terminal_coefficients,
     terminal_stats,
 )
+import cptalloc.solver as solver
 from cptalloc.solver import _grid_then_golden, _least_exposure, fraction_grid
 
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
@@ -320,25 +321,35 @@ def symmetric_rows(prefs, y, hi, solver_settings=SCALE_FREE):
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(lam=st.floats(1.05, 2.5), gamma=st.floats(0.45, 0.99), delta=st.floats(0.45, 0.99),
-       y=RETURN_LAWS, hi=st.sampled_from([1.0, 2.0, 5.0]))
-@example(lam=1.25, gamma=0.5, delta=0.5, y=INTERIOR, hi=1.0)
-@example(lam=1.25, gamma=0.5, delta=0.5, y=DiscreteEmpirical([0.18, -0.35], [0.67, 0.33]), hi=1.0)
+       y=RETURN_LAWS,
+       bounds=st.sampled_from([(-1.0, 1.0), (-2.0, 2.0), (-5.0, 5.0), (-0.5, 3.0), (-2.0, 1.0), (0.0, 2.0)]))
+@example(lam=1.25, gamma=0.5, delta=0.5, y=INTERIOR, bounds=(-1.0, 1.0))
+@example(lam=1.25, gamma=0.5, delta=0.5, y=DiscreteEmpirical([0.18, -0.35], [0.67, 0.33]),
+         bounds=(-1.0, 1.0))
+@example(lam=1.25, gamma=0.5, delta=0.5, y=INTERIOR, bounds=(-0.5, 3.0))
 def test_symmetric_rows_depend_on_lam_gamma_delta_only_through_the_terminal_corner(
-    lam, gamma, delta, y, hi
+    lam, gamma, delta, y, bounds
 ):
-    ref = symmetric_rows(MILD, y, hi)
-    rows = symmetric_rows(CptPreferences(0.88, lam, gamma, delta), y, hi)
+    # Asymmetric bounds take two scans per row and give B_t != -A_t, but
+    # both coefficients still scale with A_{T-1}.
+    constraints = Constraints(*bounds)
+    ref, rows = (backward_induction(prefs, constraints, SQRT_T, y, 4, SCALE_FREE).rows
+                 for prefs in (MILD, CptPreferences(0.88, lam, gamma, delta)))
     for table in (ref, rows):
-        assert all(row.a_coef == -row.b_coef for row in table)
-        assert all(row.k_hat_star == row.k_star for row in table[:-1])
+        assert table[-1].a_coef == -table[-1].b_coef
         assert table[-1].k_hat_star == 0.0 - table[-1].k_star  # the terminal corners mirror
+        if bounds[0] == -bounds[1]:
+            assert all(row.a_coef == -row.b_coef for row in table)
+            assert all(row.k_hat_star == row.k_star for row in table[:-1])
     assume(ref[-1].a_coef > 0.0)
     if rows[-1].a_coef == 0.0:  # staying out at the end stays out throughout
-        assert all(row.a_coef == row.k_star == 0.0 for row in rows)
+        assert all(row.a_coef == row.b_coef == row.k_star == row.k_hat_star == 0.0 for row in rows)
         return
     for row, moved in zip(ref[:-1], rows[:-1]):
         assert moved.k_star == pytest.approx(row.k_star, rel=1e-12)
+        assert moved.k_hat_star == pytest.approx(row.k_hat_star, rel=1e-12)
         assert moved.a_coef / rows[-1].a_coef == pytest.approx(row.a_coef / ref[-1].a_coef, rel=1e-12)
+        assert moved.b_coef / rows[-1].a_coef == pytest.approx(row.b_coef / ref[-1].a_coef, rel=1e-12)
 
 
 def test_default_settings_keep_interior_rows_free_of_the_terminal_scale():
@@ -501,6 +512,23 @@ class TestBackwardInduction:
         assert table.rows[0] == recursion_step(
             TK, BOUNDS, table.rows[1], DeterministicRate(0.03), SKEWED, settings
         )
+
+    @pytest.mark.parametrize("constraints, grid_points", [(BOUNDS, 1000), (Constraints(-5.0, 1.0), 401)],
+                             ids=["symmetric", "asymmetric"])
+    def test_zero_policy_fills_its_rows_without_the_kernel(self, monkeypatch, constraints, grid_points):
+        # The baseline law makes the terminal row zero. Neither grid holds 0,
+        # so the kernel's rows below come from its scan, which adds it.
+        settings = SolverSettings(grid_points=grid_points)
+        y = Normal(0.045, 1.69)
+        steps = []
+        monkeypatch.setattr(solver, "recursion_step", lambda *args: steps.append(args) or recursion_step(*args))
+        table = backward_induction(TK, constraints, SQRT_T, y, 4, settings)
+        assert steps == []
+        rows = [table.rows[-1]]
+        assert rows[0].a_coef == rows[0].b_coef == 0.0
+        for _ in range(3):
+            rows.append(recursion_step(TK, constraints, rows[-1], SQRT_T, y, settings))
+        assert table.to_csv() == PolicyTable(tuple(reversed(rows))).to_csv()
 
     def test_rejects_bad_schedule_length(self):
         with pytest.raises(ValueError, match="one entry per period"):
