@@ -65,6 +65,11 @@ def value(prefs: CptPreferences, x):
 
 def _weight(p, exponent: float):
     """Inverse-S probability weighting curve p**e / (p**e + (1-p)**e)**(1/e)."""
+    if isinstance(p, float):
+        # The integrands' p: numpy's array power first, as on a 0-d array (its
+        # last bits can differ from libm's pow), then floats and libm's pow.
+        num = float(np.asarray(p) ** exponent)
+        return num / (num + (1.0 - p) ** exponent) ** (1.0 / exponent)
     pv = np.asarray(p, dtype=float)
     num = pv**exponent
     return num / (num + (1.0 - pv) ** exponent) ** (1.0 / exponent)

@@ -322,17 +322,18 @@ def recursion_step(
         # The (len(zs), nodes) matrix of entries c_pos*max(q, 0)**a +
         # c_neg*max(-q, 0)**a against the node weights, built in row blocks
         # of q with one power per entry; only the product matrix is full size.
+        # Unless c_neg == c_pos (A = -B), the q < 0 entries are redone.
         prod = np.empty((zs.size, ww.size))
         step = max(1, MIX_BLOCK_ENTRIES // ww.size)
         for start in range(0, zs.size, step):
             rows = slice(start, start + step)
             q = np.add(np.multiply.outer(zs[rows], yv)[:, None], growth).reshape(-1, ww.size)
-            block = prod[rows]
-            block.fill(c_neg)
-            np.copyto(block, c_pos, where=q >= 0.0)
+            neg = q < 0.0 if c_neg != c_pos else None
             np.abs(q, out=q)
             q **= a
-            block *= q
+            np.multiply(q, c_pos, out=prod[rows])
+            if neg is not None:
+                np.multiply(q, c_neg, out=prod[rows], where=neg)
         return prod @ ww
 
     # Overflowing powers become inf or nan; _finite_max turns a non-finite

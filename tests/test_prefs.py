@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cptalloc import CptPreferences, distort, value
+from cptalloc.prefs import _weight
 
 TK = CptPreferences(0.88, 2.20, 0.61, 0.69)
 
@@ -64,6 +65,22 @@ class TestDistortion:
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):
             distort(TK, "up", 0.5)
+
+
+@pytest.mark.parametrize("e", [0.29, 0.5, 0.61, 0.69, 0.99])
+def test_float_weight_equals_zero_d_expression(e):
+    # The integrands' float path against the 0-d array expression it
+    # replaced, by repr. numpy's array power differs from the C library's pow
+    # in some last bits (about 6 % of these draws on x86-64 with SIMD), so a
+    # first power taken with Python's ** fails here; on a host where the two
+    # powers agree, this test cannot fail.
+    draws = np.random.default_rng(20160830).uniform(size=2000).tolist()
+    edges = [0.0, 5e-324, 1e-300, 0.3, 0.997209935789211, 1.0 - 2.0**-53, 1.0]
+    for p in edges + draws:
+        pv = np.asarray(p)
+        num = pv**e
+        want = num / (num + (1.0 - pv) ** e) ** (1.0 / e)
+        assert repr(_weight(p, e)) == repr(float(want)), p
 
 
 class TestValidation:

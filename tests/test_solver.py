@@ -215,10 +215,16 @@ SQRT_T = GaussianSqrtTRate(0.03, 0.003)
         (BOUNDS, MIRROR_NEXT, DeterministicRate(0.03), SKEWED, 201),
         # A = -B, but the mirrored interval is another one: two scans.
         (Constraints(-0.5, 3.0), MIRROR_NEXT, SQRT_T, Normal(0.1, 2.0), 201),
+        # One coefficient for both signs of q, which is exactly 0 at z = 5.
+        (BOUNDS, MIRROR_NEXT, DeterministicRate(0.0), SKEWED, 201),
+        # B = -0.0, which == calls equal to 0.0 (ZERO_NEXT has B = +0.0).
+        (BOUNDS, PolicyCoefficients(2, 0.0, -0.0, 0.0, 0.0), SQRT_T, Normal(0.3, 0.5), 201),
+        (BOUNDS, PolicyCoefficients(2, 2.0, -0.0, 0.0, 0.0), DeterministicRate(0.0), SKEWED, 201),
     ],
     ids=["normal_sqrt_t", "atoms_fixed", "q_crosses_zero", "asymmetric_bounds",
          "zero_row_off_grid", "zero_row_lo_0", "zero_row_atoms_lo_0",
-         "mirror_normal_sqrt_t", "mirror_atoms_fixed", "mirror_asymmetric_bounds"],
+         "mirror_normal_sqrt_t", "mirror_atoms_fixed", "mirror_asymmetric_bounds",
+         "mirror_q_crosses_zero", "zero_row_signed_b", "signed_zero_b"],
 )
 def test_recursion_step_equals_two_power_reference(
     constraints, nxt, rate_model, y_dist, grid_points
