@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -50,8 +51,10 @@ __all__ = [
 ]
 
 RATE_MODES = ("fixed", "sqrt_t")
-# Bounds every command's horizon. A period that the kernel solves takes about
-# 8 ms at the default grid and nodes; solver.MAX_TENSOR admits 16 times that.
+# Bounds every command's horizon, and so a solve's time: a period that the
+# kernel solves takes about 8 ms at the default grid and nodes, and
+# solver.MAX_TENSOR admits 16 times that work per period. It bounds work, not
+# memory: the kernel holds one row block of the tensor at a time.
 MAX_HORIZON = 1_000
 # Bounds the simulated ensemble (and paths.csv, ~75 bytes per step) before
 # anything is solved or allocated: 20 times the default 10000 paths x 10 periods.
@@ -256,15 +259,21 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
 
 
-def _write_atomic(path: Path, text: str) -> Path:
-    """Write an artifact's text to path through a temporary file; return path."""
+def _write_atomic(path: Path, chunks: Iterable[str]) -> Path:
+    """Write an artifact's text chunks to path through a temporary file; return path.
+
+    The chunks may be produced as they are written, so whatever fails, the
+    temporary file is removed and path is left as it was.
+    """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after the rename
     return path
 
 
@@ -300,7 +309,7 @@ def worker_count() -> int:
 def _write_policy(cfg: RunConfig, table: PolicyTable, out: Path) -> Path:
     """Write policy.csv under a provenance header naming the config hash."""
     header = f"# config_sha256 = {config_hash(cfg)}\n"
-    return _write_atomic(out / "policy.csv", header + table.to_csv())
+    return _write_atomic(out / "policy.csv", [header, table.to_csv()])
 
 
 def run_solve(cfg: RunConfig, out_dir: str | None = None) -> Path:
@@ -315,7 +324,7 @@ def run_simulate(cfg: RunConfig, out_dir: str | None = None) -> list[Path]:
         cfg.n_paths * cfg.horizon <= MAX_PATH_STEPS,
         f"n_paths * horizon must be <= {MAX_PATH_STEPS}, got {cfg.n_paths * cfg.horizon}",
     )
-    from .simulate import paths_to_csv, simulate_paths, summary_to_csv
+    from .simulate import _paths_csv_blocks, simulate_paths, summary_to_csv
 
     schedule = cfg.y_schedule()  # one read of an atom_file serves both
     table = _solve_table(cfg, schedule)
@@ -325,8 +334,8 @@ def run_simulate(cfg: RunConfig, out_dir: str | None = None) -> list[Path]:
     out = _out_dir(cfg, out_dir)
     return [
         _write_policy(cfg, table, out),
-        _write_atomic(out / "paths.csv", paths_to_csv(paths)),
-        _write_atomic(out / "summary.csv", summary_to_csv(summary)),
+        _write_atomic(out / "paths.csv", _paths_csv_blocks(paths)),
+        _write_atomic(out / "summary.csv", [summary_to_csv(summary)]),
     ]
 
 
@@ -363,7 +372,7 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
                 f"{row.a_coef:.17g},{row.b_coef:.17g}\n"
             )
     safe = param.replace("-", "_")
-    return _write_atomic(_out_dir(cfg, out_dir) / f"sweep_{safe}.csv", "".join(lines))
+    return _write_atomic(_out_dir(cfg, out_dir) / f"sweep_{safe}.csv", lines)
 
 
 def run_value(cfg: RunConfig, amount: float) -> CptValue:
@@ -385,7 +394,7 @@ def run_demo(
     if not isinstance(y, DiscreteEmpirical):
         raise ConfigError("demo requires a finite return distribution (set atom_file)")
     report = inconsistency_demo(cfg.preferences(), cfg.constraints(), y, r_low, r_high, grid_points)
-    return _write_atomic(_out_dir(cfg, out_dir) / "demo_report.txt", report.to_text())
+    return _write_atomic(_out_dir(cfg, out_dir) / "demo_report.txt", [report.to_text()])
 
 
 class _Parser(argparse.ArgumentParser):

@@ -119,19 +119,27 @@ def _merge_rows(values: np.ndarray, probs: np.ndarray):
     after its first n[i] entries, and the list n. A row's bytes do not depend
     on the other rows, so a distribution merges alike alone or in a batch.
     """
+    # Each temporary is freed as soon as it is used: on 10**5 atoms they are
+    # 0.8 MB each, and together they set the peak resident set of `value`.
     rows, k = values.shape
     order = np.argsort(values, axis=1, kind="stable")
     v = np.take_along_axis(values, order, axis=1)
+    p = probs[order]
+    del order
     new = np.ones((rows, k), dtype=bool)  # the first of each run of equal values
     np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
-    col = np.cumsum(new, axis=1) - 1
-    n = col[:, -1] + 1
-    flat = (col + k * np.arange(rows)[:, None]).ravel()
+    flat = np.cumsum(new, axis=1)
+    flat -= 1  # each value's column among its row's distinct values
+    n = flat[:, -1] + 1
+    flat += k * np.arange(rows)[:, None]
+    flat = flat.ravel()
     # add.at merges equal values one by one, in sorted order.
     merged = np.zeros(rows * k)
-    np.add.at(merged, flat, probs[order].ravel())
+    np.add.at(merged, flat, p.ravel())
+    del p
     uniq = np.zeros(rows * k)
     uniq[flat[new.ravel()]] = v[new]
+    del flat, v, new
     merged, uniq = merged.reshape(rows, k), uniq.reshape(rows, k)
 
     # numpy's pairwise sum associates differently from 8 terms on, so a row

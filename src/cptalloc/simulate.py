@@ -52,8 +52,9 @@ _QCOLS = tuple(f"wealth_q{int(q * 100):02d}" for q in _QUANTS)
 MAX_DEMO_GRID = 201
 DEMO_BLOCK_ENTRIES = 2**17
 
-# paths.csv converts this many paths' fields to Python floats at a time, so the
-# float objects of the whole ensemble are never alive at once.
+# paths.csv converts this many paths' fields to Python floats and text at a
+# time, so neither the float objects nor the text of the whole ensemble are
+# alive at once when the CLI streams the file.
 CSV_BLOCK_PATHS = 256
 
 
@@ -307,8 +308,9 @@ def simulate_paths(
     return ens, summary
 
 
-def paths_to_csv(paths: PathEnsemble) -> str:
-    """The paths.csv text: one row per (path, period) plus a terminal-wealth row per path."""
+def _paths_csv_blocks(paths: PathEnsemble):
+    """The paths.csv text in chunks: the header, then one chunk per
+    CSV_BLOCK_PATHS paths, so a writer never holds the whole text."""
     T = paths.horizon
     # One template per path; its fields run W_0, v_0, r_0, y_0, W_1, ..., W_T.
     row = "{{0}},{t},{{{f}:.17g}},{{{g}:.17g}},{{{h}:.17g}},{{{k}:.17g}}\n"
@@ -317,12 +319,16 @@ def paths_to_csv(paths: PathEnsemble) -> str:
     template += f"{{0}},{T},{{{4 * T + 1}:.17g}},,,\n"
     per_period = np.stack((paths.wealth[:, :-1], paths.trades, paths.rates, paths.excess_returns), axis=2)
     fields = np.concatenate((per_period.reshape(-1, 4 * T), paths.wealth[:, -1:]), axis=1)
-    # One join over a list that holds the header: the multi-MB text is built once.
-    lines = ["path,t,W,v,r,y\n"]
+    del per_period  # a generator's locals live until its last chunk
+    yield "path,t,W,v,r,y\n"
     for start in range(0, len(fields), CSV_BLOCK_PATHS):
         block = fields[start:start + CSV_BLOCK_PATHS].tolist()
-        lines.extend(template.format(i, *vals) for i, vals in enumerate(block, start))
-    return "".join(lines)
+        yield "".join([template.format(i, *vals) for i, vals in enumerate(block, start)])
+
+
+def paths_to_csv(paths: PathEnsemble) -> str:
+    """The paths.csv text: one row per (path, period) plus a terminal-wealth row per path."""
+    return "".join(_paths_csv_blocks(paths))
 
 
 def summary_to_csv(summary: EnsembleSummary) -> str:

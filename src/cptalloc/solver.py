@@ -56,12 +56,15 @@ TIE_RTOL = 1e-12
 
 CSV_HEADER = "t,A_t,B_t,kStar,kHatStar"
 
-# Entries of recursion_step's grid x nodes tensor: 16 times the default 1001 x 64 x 16.
+# Entries of one scan's grid x nodes tensor, the work of a solved period (its
+# memory is one row block): 16 times the default 1001 x 64 x 16.
 MAX_TENSOR = 16 * 1001 * 64 * 16
-# recursion_step computes the tensor in row blocks of about this many entries,
-# so that only its coefficient-weighted copy is held in full. 64 KB per float
-# block: blocks of 256 KB raised the median peak resident set of a cold
-# `sweep --param rate-mode` on perfbench's active_normal fixture by 0.25 MB.
+# recursion_step builds and reduces the tensor in row blocks of about this
+# many entries (64 KB per float block) and at least 4 rows, so no grid x nodes
+# array is ever held. Blocks this small also keep a solve's bits independent
+# of OPENBLAS_NUM_THREADS: OpenBLAS splits a large matrix-vector product
+# between threads, which regroups its sums, but on these blocks 1 and 2
+# threads agree up to 256 x 256 nodes.
 MIX_BLOCK_ENTRIES = 2**13
 
 
@@ -318,23 +321,30 @@ def recursion_step(
     a_next, b_next = nxt.a_coef, nxt.b_coef
     lo, hi = constraints.lo_frac, constraints.hi_frac
 
+    # Row blocks of at least 4 and a multiple of 4 rows, so that every block
+    # starts at a multiple of 4. OpenBLAS's matrix-vector product sums the
+    # outputs in groups of 4 and the last (rows % 4) alone, and numpy sends a
+    # one-row matrix to a dot product instead, which sums in another order.
+    # Blocks that start on the groups of the full matrix, with a one-row
+    # remainder joined to the block before it, give every output the bits of
+    # one single-threaded product over the full matrix (plain 8-row blocks
+    # changed the last row of every 1001-row grid).
+    step = max(4, MIX_BLOCK_ENTRIES // ww.size // 4 * 4)
+
     def mix_batch(zs: np.ndarray, c_pos: float, c_neg: float) -> np.ndarray:
-        # The (len(zs), nodes) matrix of entries c_pos*max(q, 0)**a +
-        # c_neg*max(-q, 0)**a against the node weights, built in row blocks
-        # of q with one power per entry; only the product matrix is full size.
-        # Unless c_neg == c_pos (A = -B), the q < 0 entries are redone.
-        prod = np.empty((zs.size, ww.size))
-        step = max(1, MIX_BLOCK_ENTRIES // ww.size)
-        for start in range(0, zs.size, step):
-            rows = slice(start, start + step)
-            q = np.add(np.multiply.outer(zs[rows], yv)[:, None], growth).reshape(-1, ww.size)
+        # Entries c_pos*max(q, 0)**a + c_neg*max(-q, 0)**a against the node
+        # weights, one row block of q at a time with one power per entry.
+        # Unless c_neg == c_pos (A = -B), the q < 0 entries take c_neg.
+        out = np.empty(zs.size)
+        starts = range(0, max(zs.size - 1, 1), step)
+        for start, stop in zip(starts, [*starts[1:], zs.size]):
+            q = np.add(np.multiply.outer(zs[start:stop], yv)[:, None], growth).reshape(-1, ww.size)
             neg = q < 0.0 if c_neg != c_pos else None
             np.abs(q, out=q)
             q **= a
-            np.multiply(q, c_pos, out=prod[rows])
-            if neg is not None:
-                np.multiply(q, c_neg, out=prod[rows], where=neg)
-        return prod @ ww
+            q *= c_pos if neg is None else np.where(neg, c_neg, c_pos)
+            out[start:stop] = q @ ww
+        return out
 
     # Overflowing powers become inf or nan; _finite_max turns a non-finite
     # maximum into a NumericalError, so numpy's warnings would only repeat it.

@@ -509,20 +509,39 @@ class TestMainExitCodes:
 SRC_DIR = Path(cli.__file__).resolve().parent.parent
 
 
-def main_one_blas_thread(tmp_path, text, *argv):
+def main_one_blas_thread(tmp_path, text, *argv, threads=1):
     """Run main() on the config text in a fresh interpreter; return the out
     dir and the bytes written to stdout.
 
-    The last digits of an active policy depend on the summation order of the
-    BLAS matrix-vector product, hence on its thread count: pin it to one.
+    The last digits of `value` on a large atom set depend on the summation
+    order of a BLAS dot product, hence on its thread count: pin it to one,
+    unless `threads` asks for more.
     """
     (tmp_path / "run.cfg").write_text(text)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC_DIR)}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": str(SRC_DIR)}
     res = subprocess.run(
         [sys.executable, "-m", "cptalloc", *argv, "--config", "run.cfg", "--out", "out"],
         cwd=tmp_path, env=env, check=True, capture_output=True,
     )
     return tmp_path / "out", res.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [(("solve",), "policy.csv"),
+     (("sweep", "--param", "rate-mode", "--grid", "fixed,sqrt_t"), "sweep_rate_mode.csv")],
+    ids=["solve", "sweep_rate_mode"],
+)
+def test_solved_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, argv, artifact):
+    # The default 1001-point grid on 64 x 16 nodes: one product over a whole
+    # scan's matrix would be split between two threads, which regroups its sums.
+    text = "mu = 0.3\nsigma = 0.5\nhorizon = 5\n"
+    written = []
+    for threads in (1, 2):
+        (tmp_path / str(threads)).mkdir()
+        out, _ = main_one_blas_thread(tmp_path / str(threads), text, *argv, threads=threads)
+        written.append((out / artifact).read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(
@@ -569,7 +588,8 @@ def test_simulate_seed_wider_than_64_bits_draws_the_spawned_streams(tmp_path):
 
 
 def test_artifact_files_hold_their_writers_text(tmp_path):
-    cfg = parse_config(f"atom_file = {write_atoms(tmp_path)}\nhorizon = 3\nn_paths = 8\n"
+    # 600 paths: the CLI streams paths.csv in blocks of 256 paths, 256 and 88.
+    cfg = parse_config(f"atom_file = {write_atoms(tmp_path)}\nhorizon = 3\nn_paths = 600\n"
                        "grid_points = 101\n")
     schedule = cfg.y_schedule()
     table = cli._solve_table(cfg, schedule)
@@ -588,6 +608,18 @@ def test_artifact_files_hold_their_writers_text(tmp_path):
     assert written == [simulate_out / name for name in texts]
     for path in written:
         assert path.read_text() == texts[path.name]
+
+
+def test_a_failing_chunk_leaves_neither_the_artifact_nor_its_temporary_file(tmp_path):
+    # paths.csv is formatted while it is written, so an error can come from
+    # the chunks themselves, after the temporary file has been opened.
+    def chunks():
+        yield "path,t,W,v,r,y\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli._write_atomic(tmp_path / "paths.csv", chunks())
+    assert list(tmp_path.iterdir()) == []
 
 
 GAMBLE = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n"

@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 
 import numpy as np
@@ -197,6 +196,7 @@ ACTIVE_NEXT = PolicyCoefficients(2, 2.0, -7.0, 0.0, 0.0)
 MIRROR_NEXT = PolicyCoefficients(2, 2.0, -2.0, 0.0, 0.0)
 ZERO_NEXT = PolicyCoefficients(2, 0.0, 0.0, 0.0, 0.0)
 SQRT_T = GaussianSqrtTRate(0.03, 0.003)
+ATOMS_56 = DiscreteEmpirical(np.linspace(-0.6, 1.2, 56), np.full(56, 1 / 56))
 
 
 @pytest.mark.parametrize(
@@ -220,20 +220,52 @@ SQRT_T = GaussianSqrtTRate(0.03, 0.003)
         # B = -0.0, which == calls equal to 0.0 (ZERO_NEXT has B = +0.0).
         (BOUNDS, PolicyCoefficients(2, 0.0, -0.0, 0.0, 0.0), SQRT_T, Normal(0.3, 0.5), 201),
         (BOUNDS, PolicyCoefficients(2, 2.0, -0.0, 0.0, 0.0), DeterministicRate(0.0), SKEWED, 201),
+        # lo = 0 puts 0 on the grid, so both scans have grid_points rows: every
+        # residue mod 8, from row blocks that divide evenly to a one-row
+        # remainder, and a grid of one 9-row block. The reference's full matrix
+        # stays below the size at which OpenBLAS splits a product between
+        # threads, so its bits do not depend on the thread count either.
+        *[(Constraints(0.0, 3.0), ACTIVE_NEXT, SQRT_T, Normal(0.1, 2.0), n) for n in range(200, 208)],
+        (Constraints(0.0, 3.0), MIRROR_NEXT, SQRT_T, Normal(0.3, 0.5), 9),
+        # 56 atoms x 16 rate nodes = 896 nodes: blocks of 8 rows, not
+        # MIX_BLOCK_ENTRIES // 896 = 9, so that each starts at a multiple of 4.
+        (BOUNDS, ACTIVE_NEXT, SQRT_T, ATOMS_56, 201),
+        (BOUNDS, MIRROR_NEXT, SQRT_T, ATOMS_56, 202),
     ],
     ids=["normal_sqrt_t", "atoms_fixed", "q_crosses_zero", "asymmetric_bounds",
          "zero_row_off_grid", "zero_row_lo_0", "zero_row_atoms_lo_0",
          "mirror_normal_sqrt_t", "mirror_atoms_fixed", "mirror_asymmetric_bounds",
-         "mirror_q_crosses_zero", "zero_row_signed_b", "signed_zero_b"],
+         "mirror_q_crosses_zero", "zero_row_signed_b", "signed_zero_b",
+         *[f"rows_{n}" for n in range(200, 208)], "mirror_rows_9",
+         "atoms_56_sqrt_t", "mirror_atoms_56_sqrt_t"],
 )
 def test_recursion_step_equals_two_power_reference(
-    constraints, nxt, rate_model, y_dist, grid_points
+    monkeypatch, constraints, nxt, rate_model, y_dist, grid_points
 ):
+    # The reference takes one product over the full (len(zs), nodes) matrix;
+    # the kernel reduces it block by block to the same bits, at every point
+    # each scan evaluates, not only at the optimum it picks.
+    values = []
+    maximize = _grid_then_golden
+
+    def recording(f_batch, *args):
+        def f(zs):
+            values.append(f_batch(zs))
+            return values[-1]
+
+        return maximize(f, *args)
+
+    monkeypatch.setattr(solver, "_grid_then_golden", recording)
+    monkeypatch.setitem(globals(), "_grid_then_golden", recording)
     settings = SolverSettings(grid_points=grid_points)
     got = recursion_step(TK, constraints, nxt, rate_model, y_dist, settings)
+    got_values = [v.tobytes() for v in values]
+    values.clear()
     want = two_scan_step(two_power, TK, constraints, nxt, rate_model, y_dist, settings)
     assert got == want
     assert repr(got) == repr(want)  # also tells -0.0 from 0.0, which policy.csv prints
+    # A mirrored row takes the first of the reference's two scans alone.
+    assert got_values == [v.tobytes() for v in values[:len(got_values)]]
     if nxt.a_coef == nxt.b_coef == 0.0:
         # A flat objective picks the least exposure, exactly +0, on every grid.
         assert repr((got.k_star, got.k_hat_star)) == "(0.0, 0.0)"
@@ -263,23 +295,24 @@ def traced_peak(step, *args):
         tracemalloc.stop()
 
 
+# The default 1001-point grid on 64 x 16 nodes. A full (len(zs), nodes) matrix
+# is 8.2 MB; the kernel holds one row block of it at a time (9 rows at most,
+# 74 KB) and traces about 0.3 MB in all.
+PEAK_BOUND = 1e6
+
+
 def test_symmetric_step_peaks_no_higher_than_two_scans():
-    # The default 1001-point grid on 64 x 16 nodes: about 8 MB per tensor.
+    # Two scans, A != -B: a mask and a coefficient array per block on top.
     args = (TK, BOUNDS, ACTIVE_NEXT, SQRT_T, Normal(0.3, 0.5), SolverSettings())
-    reference = functools.partial(two_scan_step, one_power_in_place)
-    reference(*args), recursion_step(*args)  # lazy imports and caches first
-    want = traced_peak(reference, *args)
-    assert want > 16e6
-    assert traced_peak(recursion_step, *args) <= want
+    recursion_step(*args)  # lazy imports and caches first
+    assert traced_peak(recursion_step, *args) < PEAK_BOUND
 
 
 def test_mirror_step_peaks_at_one_scan():
-    # With A = -B on symmetric bounds one scan's product matrix (about 8 MB)
-    # is the whole peak; two scans' tensors held at once would be about 16 MB.
+    # With A = -B on symmetric bounds one scan serves both signs.
     args = (TK, BOUNDS, MIRROR_NEXT, SQRT_T, Normal(0.3, 0.5), SolverSettings())
-    reference = functools.partial(two_scan_step, one_power_in_place)
-    reference(*args), recursion_step(*args)  # lazy imports and caches first
-    assert traced_peak(recursion_step, *args) <= 0.6 * traced_peak(reference, *args)
+    recursion_step(*args)  # lazy imports and caches first
+    assert traced_peak(recursion_step, *args) < PEAK_BOUND
 
 
 def structure_solve(prefs=TK, constraints=BOUNDS):
