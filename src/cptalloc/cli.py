@@ -171,7 +171,7 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _float_or_schedule(s: str):
-    if "," not in str(s):  # a number from a Python sweep grid is one value
+    if "," not in s:
         return float(s)
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
@@ -344,7 +344,7 @@ def _sweep_variant(cfg: RunConfig, param: str, value) -> RunConfig:
         rate = cfg.rate if cfg.rate is not None else cfg.rate_base
         return dataclasses.replace(cfg, rate_model=value, rate=rate)
     try:
-        value = _SCHEMA[param][1](value)
+        value = float(value)  # a grid item is one number, mu and sigma included
     except ValueError as exc:
         raise ConfigError(f"invalid {param} grid value {value!r}: {exc}") from exc
     return dataclasses.replace(cfg, **{_SCHEMA[param][0]: value})
@@ -354,8 +354,8 @@ def run_sweep(cfg: RunConfig, param: str, grid: list, out_dir: str | None = None
     """Re-solve per grid value and tabulate every period's coefficients."""
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
-    if not grid or any("," in str(v) for v in grid):
-        raise ConfigError("sweep grid must hold one or more values, each without a comma")
+    if not grid:
+        raise ConfigError("sweep grid must hold one or more values")
     if param in ("mu", "sigma") and cfg.atom_file is not None:
         raise ConfigError(f"cannot sweep {param}: atom_file overrides mu and sigma")
     variants = [_sweep_variant(cfg, param, v) for v in grid]  # validate all first
@@ -398,27 +398,15 @@ def run_demo(
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that this matches as a value, not an option;
+        # its own pattern misses -1e-3 and -0.1,0.2. Subparsers are built from
+        # this class, so the rule binds for every option of every command.
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
     def error(self, message):  # argparse would exit(2); config errors map to 1
         raise ConfigError(message)
-
-
-# Options whose value may be negative. argparse reads a value that starts with
-# '-' as an option unless it is a plain negative number (not -1e-3, nor a grid
-# -0.1,0.2), so main joins such a value to its flag as --flag=value. The flag
-# may be any prefix that names one of them, as argparse reads --am as --amount;
-# a prefix of two, such as --r, is left for argparse to reject as ambiguous.
-_SIGNED_OPTIONS = ("--grid", "--amount", "--r-low", "--r-high")
-_SIGNED_VALUE = re.compile(r"-[\d.]")
-
-
-def _join_signed_values(argv: list[str]) -> list[str]:
-    out: list[str] = []
-    for arg in argv:
-        if out and _SIGNED_VALUE.match(arg) and sum(o.startswith(out[-1]) for o in _SIGNED_OPTIONS) == 1:
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
 
 
 def _build_parser() -> _Parser:
@@ -466,7 +454,7 @@ def _freeze_heap_at_exit() -> None:
 def main(argv=None) -> int:
     _freeze_heap_at_exit()
     try:
-        args = _build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else RunConfig()
         if getattr(args, "seed", None) is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -494,7 +482,3 @@ def main(argv=None) -> int:
         print(f"{kind}: {message}", file=sys.stderr)
         return code
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -276,7 +276,9 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    # Once c or d rounds onto an end, the bracket is at float resolution and
+    # stops shrinking: tol below its spacing would otherwise loop forever.
+    while hi - lo > tol and lo < c < d < hi:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)

@@ -257,7 +257,7 @@ class TestRunSweep:
         assert not (tmp_path / "out" / "sweep_alpha.csv").exists()
 
     def test_grid_items_are_single_values(self, tmp_path):
-        # mu's caster reads "0.1,0.2" as a schedule, which no label can name.
+        # A grid item is one number, for mu too, whose config value may be a schedule.
         cfg = parse_config(f"horizon = 2\ngrid_points = 11\nout_dir = {tmp_path}/out")
         with pytest.raises(ConfigError, match="grid"):
             cli.run_sweep(cfg, "mu", ["0.1,0.2"])
@@ -406,16 +406,19 @@ class TestMainExitCodes:
              "--r-low=-0.1", "--r-high=-5e-2"],
             ["demo", "--config", str(CONFIG_DIR / "demo.cfg"), "--demo-grid", "5",
              "--r-l=-0.1", "--r-h=-5e-2"],
+            ["value", "--config=-1.cfg"],
         ],
         ids=["grid_first_negative", "grid_leading_dot", "grid_prefix", "amount_exponent",
-             "amount_leading_dot", "amount_prefix", "demo_rates", "demo_rate_prefixes"],
+             "amount_leading_dot", "amount_prefix", "demo_rates", "demo_rate_prefixes",
+             "config_path"],
     )
-    def test_negative_values_read_like_the_equals_form(self, tmp_path, capsys, argv):
+    def test_negative_values_read_like_the_equals_form(self, tmp_path, monkeypatch, capsys, argv):
         # argparse alone takes the spaced values for options and exits with
         # "expected one argument"; --flag=value, or a prefix of the flag, always worked.
-        (tmp_path / "tiny.cfg").write_text("horizon = 2\ngrid_points = 11\ny_nodes = 4\nr_nodes = 4\n")
-        if "--config" not in argv:
-            argv = [*argv, "--config", str(tmp_path / "tiny.cfg")]
+        monkeypatch.chdir(tmp_path)  # config_path names -1.cfg relative to it
+        (tmp_path / "-1.cfg").write_text("horizon = 2\ngrid_points = 11\ny_nodes = 4\nr_nodes = 4\n")
+        if not any(arg.startswith("--config") for arg in argv):
+            argv = [*argv, "--config", str(tmp_path / "-1.cfg")]
         spaced = [part for arg in argv for part in arg.split("=")]
         out = tmp_path / "out"  # value writes no file
         runs = []
@@ -671,6 +674,24 @@ def test_rare_top_atom_scores_finite(tmp_path, command):
         assert res.stdout.splitlines()[0] == "value = -0.40862129490807053"
     else:
         assert "nan" not in (tmp_path / "out" / "demo_report.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    ["z_tol = 1e-16\n", "lo_frac = 0\nhi_frac = 1e11\n"],
+    ids=["z_tol_below_spacing", "bounds_past_z_tol_spacing"],
+)
+def test_solve_ends_when_refinement_reaches_float_resolution(tmp_path, settings):
+    # z_tol lies below the float spacing of the refined bracket. A fresh
+    # interpreter with a timeout turns a loop that never ends into a failure.
+    text = "mu = 0.3\nsigma = 0.5\nhorizon = 2\ngrid_points = 11\ny_nodes = 4\nr_nodes = 2\n"
+    (tmp_path / "run.cfg").write_text(text + settings)
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    res = subprocess.run([sys.executable, "-m", "cptalloc", "solve", "--config", "run.cfg",
+                          "--out", "out"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                         timeout=30)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert len(policy_rows(tmp_path / "out")) == 2
 
 
 def policy_rows(out):

@@ -277,9 +277,11 @@ class TestRateModels:
         (lambda: COIN.quantile(0.0), r"p must lie in \(0, 1\)"),
         (lambda: GaussianSqrtTRate(0.03, 0.02).sample(np.arange(3), np.random.default_rng(0), 5),
          "size applies to a single period"),
+        (lambda: Normal(0.0, 1.0).expectation_nodes(0), r"node count must lie in \[1, 256\]"),
+        (lambda: Normal(0.0, 1.0).expectation_nodes(257), r"node count must lie in \[1, 256\]"),
     ],
     ids=["normal_nan_mu", "fixed_rate_nan", "rate_vol_inf", "no_atoms", "atom_inf",
-         "atom_cdf_nan", "atom_quantile_0", "sample_periods_and_size"],
+         "atom_cdf_nan", "atom_quantile_0", "sample_periods_and_size", "nodes_0", "nodes_257"],
 )
 def test_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):

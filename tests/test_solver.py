@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -635,6 +639,23 @@ def test_bracket_within_z_tol_is_refined_by_its_midpoint_alone():
     grid = fraction_grid(-1.0, 1.0, 21)
     i = int(np.argmin(np.abs(grid - 0.33)))
     assert calls[1:] == [[0.5 * (grid[i - 1] + grid[i + 1])]]
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, tol, want",
+    [("lambda z: z", 8e11, 1e12, 1e-6, 1e12),
+     ("lambda z: -(z - 0.3) ** 2", 0.2, 0.4, 1e-300, 0.3)],
+    ids=["tol_below_spacing_of_a_wide_bracket", "tol_1e-300"],
+)
+def test_golden_refinement_stops_at_float_resolution(f, lo, hi, tol, want):
+    # Below the bracket's float spacing, c and d round onto its ends and the
+    # bracket stops shrinking. A fresh interpreter with a timeout turns a loop
+    # that never ends into a failure.
+    code = f"from cptalloc.solver import _golden_max; print(_golden_max({f}, {lo!r}, {hi!r}, {tol!r})[0])"
+    env = {**os.environ, "PYTHONPATH": str(Path(solver.__file__).resolve().parent.parent)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert abs(float(res.stdout) - want) <= 2 * np.spacing(want)
 
 
 class TestPolicyTable:
