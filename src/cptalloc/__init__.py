@@ -6,8 +6,8 @@ wealth paths under the resulting policies, and ships a batch CLI for solve,
 simulate, sweep, value, and demo runs.
 
 `import cptalloc` loads no submodule: each public name is imported from its
-home module on first access (PEP 562), so a command pays only for the
-modules it runs.
+home module on first access (PEP 562), and so are the private ports `_ndtr`
+and `_quadpack`, so a command pays only for the modules it runs.
 """
 
 import importlib
@@ -34,6 +34,9 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
+    # Normal-law ports load on first use, so atom-only commands never compile them.
+    if name in ("_ndtr", "_quadpack"):
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

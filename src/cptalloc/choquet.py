@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import cptalloc
+
 from .dist import DiscreteEmpirical, Distribution, _sorted_distinct
 from .errors import NumericalError
 from .prefs import CptPreferences, _weight
@@ -37,12 +39,9 @@ _QUAD_LIMIT = 400
 
 
 def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
-    """QUADPACK's QAGS, ``cptalloc._quadpack.quad``, imported on the first
-    quadrature: atoms are evaluated exactly, so commands on an atom_file
-    should not pay to compile the port."""
-    from ._quadpack import quad as qags
-
-    return qags(f, a, b, epsabs, epsrel, limit)
+    """QUADPACK's QAGS, ``cptalloc._quadpack.quad``. ``cpt_cdf`` calls it by
+    this module's name, so a wrapper set here sees every quadrature."""
+    return cptalloc._quadpack.quad(f, a, b, epsabs, epsrel, limit)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ All distribution objects are immutable; RNG streams are owned by their caller.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 import warnings
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+import cptalloc
 
 __all__ = [
     "Normal",
@@ -37,18 +40,6 @@ MIN_RATE = -1.0 + 1e-9
 
 # numpy's hermgauss overflows from 371 nodes; 256 is 4 times the default y_nodes.
 MAX_NODES = 256
-
-
-_cephes = None  # the module cptalloc._ndtr, once a Normal law has needed it
-
-
-def _load_cephes():
-    """Import the Cephes port on first use: only Normal laws need it, and
-    atom-only commands should not pay to compile it."""
-    global _cephes
-    from cptalloc import _ndtr as _cephes
-
-    return _cephes
 
 
 def _each(f, x):
@@ -86,25 +77,25 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     return s[first]
 
 
-# numpy's hermgauss(n) abscissae and normalised weights, read-only, by n.
-_HERMITE_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's hermgauss(n) abscissae and normalised weights, read-only,
+    computed once per process."""
+    x, w = np.polynomial.hermite.hermgauss(n)
+    w = w / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _hermite_nodes(loc: float, scale: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights for expectations against N(loc, scale**2).
 
-    Each n-point rule is computed once per process; the weights returned are
-    that rule's shared, read-only array.
+    The weights returned are the n-point rule's shared, read-only array.
     """
     n = operator.index(n)  # as hermgauss, reject 4.0 even once the rule for 4 is cached
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
-    if n not in _HERMITE_RULES:
-        x, w = np.polynomial.hermite.hermgauss(n)
-        w = w / w.sum()
-        x.flags.writeable = w.flags.writeable = False
-        _HERMITE_RULES[n] = x, w
-    x, w = _HERMITE_RULES[n]
+    x, w = _hermite_rule(n)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite node is the solver's to reject
         nodes = loc + scale * np.sqrt(2.0) * x
     return nodes, w
@@ -180,7 +171,7 @@ class Normal:
         # A float is the quadrature integrand's hot path: no numpy round trip.
         if not math.isfinite(x):
             raise ValueError("cdf: x must be finite")
-        return (_cephes or _load_cephes()).ndtr((x - self.mu) / self.sigma)
+        return cptalloc._ndtr.ndtr((x - self.mu) / self.sigma)
 
     def quantile(self, p):
         if type(p) is not float:
@@ -188,7 +179,7 @@ class Normal:
         if not 0.0 < p < 1.0:
             raise ValueError("quantile: p must lie in (0, 1)")
         # An infinite quantile is the caller's to reject.
-        return self.mu + self.sigma * (_cephes or _load_cephes()).ndtri(p)
+        return self.mu + self.sigma * cptalloc._ndtr.ndtri(p)
 
     # The Generator method that draws this law's raw numbers.
     variate = "standard_normal"

@@ -142,6 +142,27 @@ class TestQuadratureRoute:
         out = cpt_cdf(TK, Normal(1.0, 1e-9), 1e-9)
         assert out.value == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.xfail(raises=AssertionError, reason="QAGS ends after one 21-point panel on a "
+                       "near-step Normal law and misses cdf_tol")
+    def test_near_step_normal_matches_mpmath_to_cdf_tol(self):
+        tol = 1e-9
+        for mu, sigma in [(2.0, 1e-4), (1.0, 1e-5), (0.3, 1e-6)]:
+            d = Normal(mu, sigma)
+            # The gain leg alone (these laws have no loss leg), over cpt_cdf's
+            # range in s = x**alpha, split at the step s = mu**alpha.
+            with mp.workdps(30):
+                a, m, sd, g = (mp.mpf(v) for v in (TK.alpha, mu, sigma, TK.gamma))
+
+                def gain_integrand(s):
+                    p = mp.ncdf((m - s ** (1 / a)) / sd)  # P(X > s**(1/alpha))
+                    return p**g / (p**g + (1 - p) ** g) ** (1 / g)
+
+                s_hi = mp.mpf(d.quantile(1.0 - TAIL_MASS)) ** a
+                want = float(mp.quad(gain_integrand, [0, m**a, s_hi]))
+            out = cpt_cdf(TK, d, tol)
+            assert out.loss_part == 0.0
+            assert out.gain_part == pytest.approx(want, rel=tol), (mu, sigma)
+
     def test_matches_fine_discretization_of_normal(self):
         d = Normal(0.045, 1.69)
         quadr = cpt_cdf(TK, d, 1e-9)

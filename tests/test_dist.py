@@ -335,7 +335,7 @@ def test_sweep_computes_each_hermite_rule_once(tmp_path, monkeypatch):
         calls[n] += 1
         return hermgauss(n)
 
-    monkeypatch.setattr(dist, "_HERMITE_RULES", {})  # as in a fresh process
+    dist._hermite_rule.cache_clear()  # as in a fresh process
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
     (tmp_path / "run.cfg").write_text("horizon = 5\ngrid_points = 101\nrate_model = sqrt_t\n")
     argv = ["sweep", "--config", str(tmp_path / "run.cfg"), "--param", "mu", "--grid", "1.0,1.5",

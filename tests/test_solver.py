@@ -577,6 +577,21 @@ class TestBackwardInduction:
         with pytest.raises(ValueError, match="one entry per period"):
             backward_induction(TK, BOUNDS, DeterministicRate(0.03), [SKEWED] * 2, 3)
 
+    @pytest.mark.xfail(raises=AssertionError, reason="Gauss-Hermite nodes cannot resolve the kink "
+                       "of |q|**alpha at q = 0, so flat objectives get wrong fractions")
+    def test_flat_objectives_pick_the_exact_fraction(self):
+        # With symmetric bounds and a zero rate, rows 0 and 1 maximize
+        # E|1 + y*z|**alpha over z in [-1, 1]. Each pinned argmax is an mpmath
+        # findroot (35 digits) of its z-derivative, E[alpha*|q|**(alpha-1)*sign(q)*y]
+        # with q = 1 + y*z, the Normal integral split at mu, mu +- 12 sigma and
+        # the kink y = -1/z. Computing it here would take about a minute.
+        for alpha, y, want in [(0.5, Normal(-0.1, 0.55), -0.594574120794413),
+                               (0.3, Normal(-0.15, 0.5), -0.78139315573081)]:
+            prefs = CptPreferences(alpha, 1.05, 0.9, 0.9)
+            table = backward_induction(prefs, Constraints(-1.0, 1.0), DeterministicRate(0.0), y, 3)
+            for row in table.rows[:2]:
+                assert row.k_star == pytest.approx(want, abs=1e-5), alpha
+
 
 class TestOptimalTrade:
     def test_zero_wealth(self):
