@@ -67,32 +67,40 @@ def cpt_discrete(prefs: CptPreferences, d: DiscreteEmpirical) -> CptValue:
     losses by increments of the distorted lower-tail probability, each atom
     contributing at its value-function level.
     """
-    gain, loss = _cpt_rows(prefs, d.values[None], d.cumulative[None], [d.values.size])
+    gain, loss = _cpt_rows(prefs, d.values[None], d._cum_padded[None], [d.values.size])
     return CptValue(float(gain[0]), float(loss[0]))
 
 
-def _cpt_rows(prefs: CptPreferences, values: np.ndarray, cum: np.ndarray, n: list) -> tuple:
+def _cpt_rows(prefs: CptPreferences, values: np.ndarray, lower: np.ndarray, n: list) -> tuple:
     """Gain and loss legs of finite distributions, one per row.
 
-    `values`, `cum` and the list `n` are as ``dist._merge_rows`` returns
-    them. Each row takes one BLAS dot per leg over contiguous slices, so its
-    legs do not depend on the other rows.
+    `values`, `lower` (the CDF below each value, led by a 0) and the list `n`
+    are as ``dist._merge_rows`` returns them. Each row takes one BLAS dot
+    per leg over contiguous slices, so its legs do not depend on the other
+    rows.
     """
     rows = values.shape[0]
-    lower = np.concatenate((np.zeros((rows, 1)), cum), axis=1)  # lower[:, j] = P(X < x_j)
-    w_gain = _weight(1.0 - lower, prefs.gamma)  # distorted P(X >= x_j)
-    w_loss = _weight(lower, prefs.delta)
+    n_neg = (values < 0.0).sum(axis=1).tolist()  # losses come first in a sorted row
+    first_gain = (n - (values > 0.0).sum(axis=1)).tolist()
+    # lower[:, j] = P(X < x_j). A row's gain dot reads the weights of columns
+    # first_gain..n of lower, its loss dot those of 0..n_neg, so each leg
+    # weights only the columns some row reads. Each leg's weights are freed
+    # once differenced: at most three (rows, k) arrays are alive at a time.
+    g0 = min(first_gain)
+    w_gain = _weight(1.0 - lower[:, g0:max(n) + 1], prefs.gamma)  # distorted P(X >= x_j)
     d_gain = w_gain[:, :-1] - w_gain[:, 1:]
+    del w_gain
+    w_loss = _weight(lower[:, :max(n_neg) + 1], prefs.delta)
     d_loss = w_loss[:, 1:] - w_loss[:, :-1]
-    level = np.abs(values) ** prefs.alpha
+    del w_loss
+    level = np.abs(values)
+    level **= prefs.alpha
 
     gain = np.zeros(rows)
     loss = np.zeros(rows)
-    n_neg = (values < 0.0).sum(axis=1).tolist()  # losses come first in a sorted row
-    first_gain = (n - (values > 0.0).sum(axis=1)).tolist()
     for i, (neg, pos, end) in enumerate(zip(n_neg, first_gain, n)):
         if pos < end:
-            gain[i] = np.dot(d_gain[i, pos:end], level[i, pos:end])
+            gain[i] = np.dot(d_gain[i, pos - g0:end - g0], level[i, pos:end])
         if neg:
             # A Python float product: an overflow gives inf, not numpy's RuntimeWarning.
             loss[i] = prefs.lam * float(np.dot(d_loss[i, :neg], level[i, :neg]))

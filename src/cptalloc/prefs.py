@@ -72,7 +72,15 @@ def _weight(p, exponent: float):
         return num / (num + (1.0 - p) ** exponent) ** (1.0 / exponent)
     pv = np.asarray(p, dtype=float)
     num = pv**exponent
-    return num / (num + (1.0 - pv) ** exponent) ** (1.0 / exponent)
+    if pv.ndim == 0:
+        return num / (num + (1.0 - pv) ** exponent) ** (1.0 / exponent)
+    # The same ufuncs in the same order, in place: one temporary, not three.
+    den = 1.0 - pv
+    den **= exponent
+    np.add(num, den, out=den)
+    den **= 1.0 / exponent
+    num /= den
+    return num
 
 
 def distort(prefs: CptPreferences, side: str, p):

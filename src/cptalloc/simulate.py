@@ -439,8 +439,8 @@ def inconsistency_demo(
                 outcome = growth * b0 * y_first + b1 * mid_wealth * y_second
                 if not np.isfinite(outcome).all():
                     raise NumericalError(f"demo outcome is not finite at rate {r!r}")
-                uniq, _, cum, n_uniq = _merge_rows(outcome, prob)
-                gain, loss = _cpt_rows(prefs, uniq, cum, n_uniq)
+                uniq, _, lower, n_uniq = _merge_rows(outcome, prob)
+                gain, loss = _cpt_rows(prefs, uniq, lower, n_uniq)
                 vals[start:start + block] = gain - loss
         best = _least_exposure(vals, *exposure)
         cases.append(DemoCase(rate=r, precommit_z0=float(z0[best]), precommit_z1=float(z1[best]),

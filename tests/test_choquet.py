@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -37,16 +38,16 @@ def random_discrete(rng, n_atoms=None, spread=3.0):
 
 def two_atom_value_hp(prefs, x_gain, x_loss, p_gain):
     """Full-precision rank-dependent sum for a two-atom gamble."""
-    mp.mp.dps = 50
-    a, lam = mp.mpf(prefs.alpha), mp.mpf(prefs.lam)
+    with mp.workdps(50):
+        a, lam = mp.mpf(prefs.alpha), mp.mpf(prefs.lam)
 
-    def w(p, e):
-        p, e = mp.mpf(p), mp.mpf(e)
-        return p**e / (p**e + (1 - p) ** e) ** (1 / e)
+        def w(p, e):
+            p, e = mp.mpf(p), mp.mpf(e)
+            return p**e / (p**e + (1 - p) ** e) ** (1 / e)
 
-    gain = w(p_gain, prefs.gamma) * mp.mpf(x_gain) ** a
-    loss = lam * w(1 - p_gain, prefs.delta) * mp.mpf(-x_loss) ** a
-    return float(gain - loss)
+        gain = w(p_gain, prefs.gamma) * mp.mpf(x_gain) ** a
+        loss = lam * w(1 - p_gain, prefs.delta) * mp.mpf(-x_loss) ** a
+        return float(gain - loss)
 
 
 class TestDiscreteOracle:
@@ -74,6 +75,11 @@ class TestDiscreteOracle:
         d = DiscreteEmpirical([1.0, -0.2], [0.6, 0.4])
         out = cpt_discrete(TK, d)
         assert out.value == pytest.approx(two_atom_value_hp(TK, 1.0, -0.2, 0.6), abs=1e-12)
+
+    def test_high_precision_reference_leaves_the_precision_alone(self):
+        with mp.workdps(20):
+            two_atom_value_hp(TK, 1.0, -0.2, 0.6)
+            assert mp.mp.dps == 20
 
     def test_loss_aversion_makes_symmetric_gambles_negative(self):
         prefs = CptPreferences(0.88, 2.2, 0.69, 0.69)
@@ -359,6 +365,22 @@ def test_rare_top_atom_scores_finite():
     with np.errstate(invalid="ignore"):
         assert np.isnan(scalar_reference_value(TK, uniq, cum).gain_part)
     assert np.isfinite(cpt_discrete(TK, d).value)
+
+
+def test_discrete_value_on_distinct_atoms_peaks_under_three_copies():
+    # 10**5 atoms are 0.8 MB a copy. Each leg weights only its own atoms,
+    # and its weights are freed once differenced; the value levels come last.
+    rng = np.random.default_rng(5)
+    n = 10**5
+    d = DiscreteEmpirical(0.05 + 0.3 * rng.standard_normal(n), np.full(n, 1.0 / n))
+    cpt_discrete(TK, COIN)  # lazy set-up first
+    tracemalloc.start()
+    try:
+        cpt_discrete(TK, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_refinement_stability():

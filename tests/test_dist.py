@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import pytest
 import cptalloc.cli as cli
 import cptalloc.dist as dist
 from cptalloc import (
+    CptPreferences,
     DeterministicRate,
     DiscreteEmpirical,
     GaussianSqrtTRate,
     Normal,
     as_schedule,
+    cpt_discrete,
     discretize,
 )
 
@@ -403,7 +406,8 @@ def merge_rows_with_unique(values, probs):
     cum = np.cumsum(merged, axis=1)
     np.minimum(cum, 1.0, out=cum)
     cum[np.arange(k) >= n[:, None] - 1] = 1.0
-    return uniq, merged, cum, n.tolist()
+    lower = np.concatenate((np.zeros((rows, 1)), cum), axis=1)  # P(X < each value)
+    return uniq, merged, lower, n.tolist()
 
 
 def test_merge_rows_equals_the_np_unique_reference():
@@ -422,3 +426,66 @@ def test_merge_rows_equals_the_np_unique_reference():
     assert sorted(set(got[3])) == [1, 3, 8, 9, 12]
     assert got[3] == want[3]
     assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
+
+
+def test_merge_rows_keeps_tied_values_in_input_order_at_large_k():
+    # Long runs of equal values, signed zeros among them, and distinct
+    # probabilities: add.at sums a run in its order, so any other order of
+    # equal values changes the merged bits, and uniq takes the sign of a
+    # run's first zero.
+    rng = np.random.default_rng(43)
+    rows, k = 6, 1500
+    values = rng.integers(-40, 41, (rows, k)) / 16.0
+    values[0] = 0.0
+    values[1] = rng.normal(size=k)  # distinct values beside tied rows
+    values[rng.random((rows, k)) < 0.5] *= -1.0
+    probs = rng.dirichlet(np.ones(k))
+    got = dist._merge_rows(values, probs)
+    want = merge_rows_with_unique(values, probs)
+    assert got[3] == want[3]
+    assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
+
+
+def tied_atoms():
+    """10**5 atoms rounded to 3 decimals, 1959 distinct, of unequal probability."""
+    rng = np.random.default_rng(29)
+    values = np.round(0.05 + 0.3 * rng.standard_normal(10**5), 3)
+    probs = rng.uniform(0.5, 1.5, values.size)
+    return values, probs / probs.sum()
+
+
+def test_tied_large_discrete_equals_the_stable_reference():
+    values, probs = tied_atoms()
+    d = DiscreteEmpirical(values, probs)
+    uniq, merged, lower, (n,) = merge_rows_with_unique(values[None], probs)
+    assert d.values.size == n == 1959
+    for got, want in ((d.values, uniq), (d.probs, merged), (d.cumulative, lower[:, 1:])):
+        assert got.tobytes() == want[0, :n].tobytes()
+    # The value before equal atoms were merged without a stable sort.
+    out = cpt_discrete(CptPreferences(0.88, 2.20, 0.61, 0.69), d)
+    assert (out.gain_part, out.loss_part) == (0.19719648429459805, 0.3203390263595522)
+
+
+def test_cumulative_is_a_view_of_the_padded_cdf():
+    values, probs = tied_atoms()
+    d = DiscreteEmpirical(values, probs)
+    assert np.shares_memory(d.cumulative, d._cum_padded)
+    assert not d.cumulative.flags.writeable
+    assert d.cdf(d.values).tobytes() == d.cumulative.tobytes()
+    assert d.quantile(d.cumulative[:-1]).tobytes() == d.values[:-1].tobytes()
+
+
+def test_discrete_on_distinct_atoms_peaks_at_three_copies():
+    # 10**5 atoms are 0.8 MB a copy: the sort order, the sorted values and
+    # the probabilities, then the padded CDF once the order is freed.
+    rng = np.random.default_rng(5)
+    n = 10**5
+    values, probs = 0.05 + 0.3 * rng.standard_normal(n), np.full(n, 1.0 / n)
+    DiscreteEmpirical(values[:10], np.full(10, 0.1))  # lazy set-up first
+    tracemalloc.start()
+    try:
+        DiscreteEmpirical(values, probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
