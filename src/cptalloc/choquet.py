@@ -34,6 +34,7 @@ __all__ = ["CptValue", "cpt_discrete", "cpt_cdf", "cpt_scaled_position", "TAIL_M
 # With alpha < 1 the discarded contribution is far below quadrature tolerance
 # for any distribution with normal-like tails.
 TAIL_MASS = 1e-10
+CDF_TOL = 1e-9  # the default quadrature tolerance, also SolverSettings.cdf_tol's
 
 _QUAD_LIMIT = 400
 
@@ -130,7 +131,7 @@ def _quad_leg(integrand, s_hi: float, breaks, tol: float, label: str, p: float) 
     return max(total, 0.0)
 
 
-def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = 1e-9) -> CptValue:
+def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = CDF_TOL) -> CptValue:
     """Prospect value by adaptive quadrature on the distorted tail CDFs.
 
     Each leg is integrated in the transformed variable s = x**alpha over
@@ -170,7 +171,7 @@ def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = 1e-9) -> CptVal
 
 
 def cpt_scaled_position(
-    prefs: CptPreferences, d: Distribution, amount: float, tol: float = 1e-9
+    prefs: CptPreferences, d: Distribution, amount: float, tol: float = CDF_TOL
 ) -> CptValue:
     """Prospect value of holding `amount` dollars of the risky excess return.
 

@@ -229,7 +229,7 @@ class DiscreteEmpirical:
     renormalized, and the cumulative vector is clamped at 1 and ends at 1.0.
     """
 
-    __slots__ = ("values", "probs", "_cum", "_cum_padded")
+    __slots__ = ("values", "probs", "_cum_padded")
 
     def __init__(self, values, probs) -> None:
         v = np.asarray(values, dtype=float).ravel()
@@ -249,7 +249,6 @@ class DiscreteEmpirical:
             arr.flags.writeable = False
         self.values = uniq
         self.probs = merged
-        self._cum = padded[1:]
         self._cum_padded = padded
 
     def __repr__(self) -> str:
@@ -258,7 +257,7 @@ class DiscreteEmpirical:
     @property
     def cumulative(self) -> np.ndarray:
         """Right-continuous CDF evaluated at each atom."""
-        return self._cum
+        return self._cum_padded[1:]
 
     def cdf(self, x):
         xv = np.asarray(x, dtype=float)
@@ -272,7 +271,7 @@ class DiscreteEmpirical:
         pv = np.asarray(p, dtype=float)
         if not (np.all(pv > 0.0) and np.all(pv < 1.0)):
             raise ValueError("quantile: p must lie in (0, 1)")
-        idx = np.searchsorted(self._cum, pv, side="left")
+        idx = np.searchsorted(self.cumulative, pv, side="left")
         out = self.values[idx]
         return float(out) if np.isscalar(p) or pv.ndim == 0 else out
 

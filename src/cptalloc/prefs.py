@@ -64,16 +64,15 @@ def value(prefs: CptPreferences, x):
 
 
 def _weight(p, exponent: float):
-    """Inverse-S probability weighting curve p**e / (p**e + (1-p)**e)**(1/e)."""
+    """Inverse-S probability weighting curve p**e / (p**e + (1-p)**e)**(1/e),
+    of a float p or elementwise of an array p with ndim >= 1."""
     if isinstance(p, float):
-        # The integrands' p: numpy's array power first, as on a 0-d array (its
-        # last bits can differ from libm's pow), then floats and libm's pow.
+        # A scalar p: numpy's array power first, as on a 0-d array (its last
+        # bits can differ from libm's pow), then floats and libm's pow.
         num = float(np.asarray(p) ** exponent)
         return num / (num + (1.0 - p) ** exponent) ** (1.0 / exponent)
     pv = np.asarray(p, dtype=float)
     num = pv**exponent
-    if pv.ndim == 0:
-        return num / (num + (1.0 - pv) ** exponent) ** (1.0 / exponent)
     # The same ufuncs in the same order, in place: one temporary, not three.
     den = 1.0 - pv
     den **= exponent
@@ -91,5 +90,4 @@ def distort(prefs: CptPreferences, side: str, p):
     if not (np.all(pv >= 0.0) and np.all(pv <= 1.0)):
         raise ValueError("distort: p must lie in [0, 1]")
     e = prefs.gamma if side == "gain" else prefs.delta
-    out = _weight(pv, e)
-    return float(out) if np.isscalar(p) or pv.ndim == 0 else out
+    return _weight(float(pv) if pv.ndim == 0 else pv, e)

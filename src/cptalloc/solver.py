@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .choquet import cpt_scaled_position
+from .choquet import CDF_TOL, cpt_scaled_position
 from .dist import MAX_NODES, Distribution, RateModel, _sorted_distinct, as_schedule
 from .errors import NumericalError
 from .prefs import CptPreferences
@@ -56,9 +56,6 @@ TIE_RTOL = 1e-12
 
 CSV_HEADER = "t,A_t,B_t,kStar,kHatStar"
 
-# Entries of one scan's grid x nodes tensor, the work of a solved period (its
-# memory is one row block): 16 times the default 1001 x 64 x 16.
-MAX_TENSOR = 16 * 1001 * 64 * 16
 # recursion_step builds and reduces the tensor in row blocks of about this
 # many entries (64 KB per float block) and at least 4 rows, so no grid x nodes
 # array is ever held. Blocks this small also keep a solve's bits independent
@@ -136,7 +133,7 @@ class SolverSettings:
     z_tol: float = 1e-6
     y_nodes: int = 64
     r_nodes: int = 16
-    cdf_tol: float = 1e-9
+    cdf_tol: float = CDF_TOL
     refine: bool = True
 
     def __post_init__(self) -> None:
@@ -149,6 +146,11 @@ class SolverSettings:
                 raise ValueError(f"{name} must lie in [1, {MAX_NODES}], got {getattr(self, name)}")
         if not 0.0 < self.cdf_tol < np.inf:
             raise ValueError(f"cdf_tol must be finite and > 0, got {self.cdf_tol}")
+
+
+# Entries of one scan's grid x nodes tensor, the work of a solved period (its
+# memory is one row block): 16 times the default grid x return x rate nodes.
+MAX_TENSOR = 16 * SolverSettings.grid_points * SolverSettings.y_nodes * SolverSettings.r_nodes
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ class PolicyTable:
 
 
 def terminal_stats(
-    prefs: CptPreferences, y_dist: Distribution, tol: float = 1e-9
+    prefs: CptPreferences, y_dist: Distribution, tol: float = CDF_TOL
 ) -> TerminalStats:
     """Prospect values of the unit long and unit short terminal positions."""
     return TerminalStats(

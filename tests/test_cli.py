@@ -491,42 +491,129 @@ class TestMainExitCodes:
         assert reads == [str(f)]
 
     def test_simulate_artifacts_are_pinned(self, tmp_path):
-        # The active 0.5/-0.2 atom fixture (k_star = 5 each period) at 50
-        # paths; any change to the draws, the stepping or the formatting
-        # moves these digests.
-        (tmp_path / "atoms.csv").write_text("value,probability\n0.5,0.6\n-0.2,0.4\n")
+        # The cold `simulate_atoms` case of PINNED_COMMANDS, run in-process.
+        text, argv, artifacts = PINNED_COMMANDS["simulate_atoms"]
+        (tmp_path / "atoms.csv").write_text(ACTIVE_ATOMS)
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("atom_file = atoms.csv\nhorizon = 5\nn_paths = 50\n")
+        cfg_file.write_text(text)
         out = tmp_path / "out"
-        assert cli.main(["simulate", "--config", str(cfg_file), "--out", str(out), "--seed", "42"]) == 0
-        digests = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("paths.csv", "summary.csv")
-        }
-        assert digests == {
-            "paths.csv": "c5fcf07ce1c32ea2d45c5817f59e92829a2580cceeed2fe7eafe0ca0d4e8e568",
-            "summary.csv": "5fca70bc98193063bf4f5a01a950134ff39d63acc09e604d4cd2fbaa21bc6a81",
-        }
+        assert cli.main([*argv, "--config", str(cfg_file), "--out", str(out)]) == 0
+        digests = {f"simulate_atoms/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in artifacts}
+        assert digests == {key: PINNED_DIGESTS[key] for key in digests}
 
 
 SRC_DIR = Path(cli.__file__).resolve().parent.parent
 
 
-def main_one_blas_thread(tmp_path, text, *argv, threads=1):
-    """Run main() on the config text in a fresh interpreter; return the out
-    dir and the bytes written to stdout.
+def main_one_blas_thread(tmp_path, text, *argv, threads=1, timeout=None):
+    """Run main() on the config text in a fresh interpreter, which must exit 0
+    and write nothing to stderr; return the out dir and the bytes written to
+    stdout.
 
     The last digits of `value` on a large atom set depend on the summation
     order of a BLAS dot product, hence on its thread count: pin it to one,
-    unless `threads` asks for more.
+    unless `threads` asks for more. A `timeout` turns a hang into a failure.
     """
     (tmp_path / "run.cfg").write_text(text)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": str(SRC_DIR)}
     res = subprocess.run(
         [sys.executable, "-m", "cptalloc", *argv, "--config", "run.cfg", "--out", "out"],
-        cwd=tmp_path, env=env, check=True, capture_output=True,
+        cwd=tmp_path, env=env, capture_output=True, timeout=timeout,
     )
+    assert (res.returncode, res.stderr.decode()) == (0, "")
     return tmp_path / "out", res.stdout
+
+
+ACTIVE_NORMAL = "mu = 0.3\nsigma = 0.5\nhorizon = 5\n"
+ACTIVE_ATOMS = "value,probability\n0.5,0.6\n-0.2,0.4\n"
+GAMBLE = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n"
+
+# Each pinned command: its config text, its arguments and the artifacts it
+# writes ("stdout" is what it prints). ACTIVE_ATOMS is written beside each config.
+PINNED_COMMANDS = {
+    # The active 0.5/-0.2 atom fixture (k_star = 5 each period) at 50 paths.
+    "simulate_atoms": ("atom_file = atoms.csv\nhorizon = 5\nn_paths = 50\n",
+                       ("simulate", "--seed", "42"), ("paths.csv", "summary.csv")),
+    # sqrt_t rates: every draw of a path is a standard normal, rates first, then returns.
+    "simulate_normal": (ACTIVE_NORMAL + "n_paths = 50\n", ("simulate", "--seed", "42"),
+                        ("paths.csv", "summary.csv")),
+    "solve_active": (ACTIVE_NORMAL, ("solve",), ("policy.csv",)),
+    "solve_zero_policy": ("horizon = 5\n", ("solve",), ("policy.csv",)),
+    # Bounds that are not symmetric give the long and short scans different grids.
+    "solve_asymmetric": (ACTIVE_NORMAL + "lo_frac = -2\nhi_frac = 4\n", ("solve",), ("policy.csv",)),
+    "demo_report": (GAMBLE, ("demo", "--demo-grid", "11"), ("demo_report.txt",)),
+    "value_atoms": (GAMBLE, ("value",), ("stdout",)),
+    "value_normal": ("", ("value",), ("stdout",)),
+}
+
+# Every artifact digest that tier-1 pins. Any change to the draws, the
+# stepping, the solver or the formatting moves some of them; a rotation
+# rewrites this one block.
+PINNED_DIGESTS = {
+    "simulate_atoms/paths.csv": "c5fcf07ce1c32ea2d45c5817f59e92829a2580cceeed2fe7eafe0ca0d4e8e568",
+    "simulate_atoms/summary.csv": "5fca70bc98193063bf4f5a01a950134ff39d63acc09e604d4cd2fbaa21bc6a81",
+    "simulate_normal/paths.csv": "2848e57a81a4be04af2080ab7f0a26c5db1299156d9ec41fe2921b761951cad5",
+    "simulate_normal/summary.csv": "a52dd6d2f33a960bb7482b0a347b3d388608c7f2abbcc50f6097971020b05ab3",
+    "solve_active/policy.csv": "8758608423e7ee28d61aca4aad5fa7b8e0504ce2353a9ea0bf20be66ccd5df7b",
+    "solve_zero_policy/policy.csv": "beb9ce355cdf0d6e4b65996cbee6b086694911e8a4d85009aa886c00b0b8acf2",
+    "solve_asymmetric/policy.csv": "7756c2146ba13e113603775425ac34e9c0a3c1cc6316ad7c283b5db8f6494dc7",
+    "demo_report/demo_report.txt": "37838e049ee173424a0580bb877fba8fbc1c7b1d4131cde33d6e4a80b3af57d7",
+    "value_atoms/stdout": "10df5e96abe6e1ee7b9216d3057c1bb2327dd445453cd1347df5584e28d9dcef",
+    "value_normal/stdout": "8d54430f60e3ddcb2e5e70d3ad148f4eb0b7a6e916ef19d4c928c0968723cbb1",
+}
+
+
+@pytest.fixture(scope="module")
+def case_digests(tmp_path_factory):
+    """Return a function that runs a case of PINNED_COMMANDS as a cold process
+    and gives its {case/artifact: digest}; each case runs once per module."""
+    done = {}
+
+    def run(case):
+        if case not in done:
+            text, argv, artifacts = PINNED_COMMANDS[case]
+            case_dir = tmp_path_factory.mktemp(case)
+            (case_dir / "atoms.csv").write_text(ACTIVE_ATOMS)
+            out, stdout = main_one_blas_thread(case_dir, text, *argv)
+            done[case] = {
+                f"{case}/{artifact}": hashlib.sha256(
+                    stdout if artifact == "stdout" else (out / artifact).read_bytes()).hexdigest()
+                for artifact in artifacts
+            }
+        return done[case]
+
+    return run
+
+
+def test_artifacts_are_pinned(case_digests):
+    # The whole dict at once, so a rotation sees every digest that moved.
+    digests = {}
+    for case in PINNED_COMMANDS:
+        digests.update(case_digests(case))
+    assert digests == PINNED_DIGESTS
+
+
+def assert_case_pinned(case_digests, case):
+    digests = case_digests(case)
+    assert digests == {key: PINNED_DIGESTS[key] for key in digests}
+
+
+@pytest.mark.parametrize(
+    "case", ["solve_active", "solve_zero_policy", "solve_asymmetric"],
+    ids=["active", "zero_policy", "active_asymmetric_bounds"],
+)
+def test_solve_artifacts_are_pinned(case_digests, case):
+    assert_case_pinned(case_digests, case)
+
+
+def test_simulate_normal_artifacts_are_pinned(case_digests):
+    assert_case_pinned(case_digests, "simulate_normal")
+
+
+@pytest.mark.parametrize("case", ["demo_report", "value_atoms", "value_normal"])
+def test_demo_and_value_outputs_are_pinned(case_digests, case):
+    assert_case_pinned(case_digests, case)
 
 
 @pytest.mark.parametrize(
@@ -538,30 +625,12 @@ def main_one_blas_thread(tmp_path, text, *argv, threads=1):
 def test_solved_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, argv, artifact):
     # The default 1001-point grid on 64 x 16 nodes: one product over a whole
     # scan's matrix would be split between two threads, which regroups its sums.
-    text = "mu = 0.3\nsigma = 0.5\nhorizon = 5\n"
     written = []
     for threads in (1, 2):
         (tmp_path / str(threads)).mkdir()
-        out, _ = main_one_blas_thread(tmp_path / str(threads), text, *argv, threads=threads)
+        out, _ = main_one_blas_thread(tmp_path / str(threads), ACTIVE_NORMAL, *argv, threads=threads)
         written.append((out / artifact).read_bytes())
     assert written[0] == written[1]
-
-
-@pytest.mark.parametrize(
-    "text, digest",
-    [
-        ("mu = 0.3\nsigma = 0.5\nhorizon = 5\n",
-         "8758608423e7ee28d61aca4aad5fa7b8e0504ce2353a9ea0bf20be66ccd5df7b"),
-        ("horizon = 5\n", "beb9ce355cdf0d6e4b65996cbee6b086694911e8a4d85009aa886c00b0b8acf2"),
-        # Bounds that are not symmetric give the long and short scans different grids.
-        ("mu = 0.3\nsigma = 0.5\nhorizon = 5\nlo_frac = -2\nhi_frac = 4\n",
-         "7756c2146ba13e113603775425ac34e9c0a3c1cc6316ad7c283b5db8f6494dc7"),
-    ],
-    ids=["active", "zero_policy", "active_asymmetric_bounds"],
-)
-def test_solve_artifacts_are_pinned(tmp_path, text, digest):
-    out, _ = main_one_blas_thread(tmp_path, text, "solve")
-    assert hashlib.sha256((out / "policy.csv").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.xfail(raises=AssertionError, reason="config_sha256 hashes the atom_file path as "
@@ -580,22 +649,9 @@ def test_policy_does_not_depend_on_the_directory_a_config_is_named_from(tmp_path
     assert written[0] == written[1]
 
 
-def test_simulate_normal_artifacts_are_pinned(tmp_path):
-    # The active Normal fixture with sqrt_t rates: every draw of a path is a
-    # standard normal, rates first, then returns.
-    text = "mu = 0.3\nsigma = 0.5\nhorizon = 5\nn_paths = 50\n"
-    out, _ = main_one_blas_thread(tmp_path, text, "simulate", "--seed", "42")
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("paths.csv", "summary.csv")}
-    assert digests == {
-        "paths.csv": "2848e57a81a4be04af2080ab7f0a26c5db1299156d9ec41fe2921b761951cad5",
-        "summary.csv": "a52dd6d2f33a960bb7482b0a347b3d388608c7f2abbcc50f6097971020b05ab3",
-    }
-
-
 def test_simulate_seed_wider_than_64_bits_draws_the_spawned_streams(tmp_path):
     # 2**64 + 1 is three uint32 words of entropy; the pinned digests use 42.
-    (tmp_path / "atoms.csv").write_text("value,probability\n0.5,0.6\n-0.2,0.4\n")
+    (tmp_path / "atoms.csv").write_text(ACTIVE_ATOMS)
     text = "atom_file = atoms.csv\nhorizon = 3\nn_paths = 5\ngrid_points = 101\n"
     seed = 2**64 + 1
     out, _ = main_one_blas_thread(tmp_path, text, "simulate", "--seed", str(seed))
@@ -641,27 +697,6 @@ def test_a_failing_chunk_leaves_neither_the_artifact_nor_its_temporary_file(tmp_
     assert list(tmp_path.iterdir()) == []
 
 
-GAMBLE = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n"
-
-
-@pytest.mark.parametrize(
-    "text, argv, artifact, digest",
-    [
-        (GAMBLE, ("demo", "--demo-grid", "11"), "demo_report.txt",
-         "37838e049ee173424a0580bb877fba8fbc1c7b1d4131cde33d6e4a80b3af57d7"),
-        (GAMBLE, ("value",), None,
-         "10df5e96abe6e1ee7b9216d3057c1bb2327dd445453cd1347df5584e28d9dcef"),
-        ("", ("value",), None,
-         "8d54430f60e3ddcb2e5e70d3ad148f4eb0b7a6e916ef19d4c928c0968723cbb1"),
-    ],
-    ids=["demo_report", "value_atoms", "value_normal"],
-)
-def test_demo_and_value_outputs_are_pinned(tmp_path, text, argv, artifact, digest):
-    out, stdout = main_one_blas_thread(tmp_path, text, *argv)
-    data = (out / artifact).read_bytes() if artifact else stdout
-    assert hashlib.sha256(data).hexdigest() == digest
-
-
 def test_demo_accepts_an_atom_whose_squared_probability_underflows(tmp_path):
     # 1e-170**2 underflows to 0: that two-period outcome has no representable
     # mass, and value already accepts the same file.
@@ -681,15 +716,11 @@ def test_rare_top_atom_scores_finite(tmp_path, command):
     # The cumulative sum passes 1 before the 1e-20 atom; unclamped, the gain
     # leg was NaN with a RuntimeWarning, and demo failed on its terminal stats.
     (tmp_path / "rare_top.csv").write_text(RARE_TOP_ATOM)
-    (tmp_path / "run.cfg").write_text("atom_file = rare_top.csv\n")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC_DIR)}
-    res = subprocess.run([sys.executable, "-m", "cptalloc", command, "--config", "run.cfg",
-                          "--out", "out"], cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert (res.returncode, res.stderr) == (0, "")
+    out, stdout = main_one_blas_thread(tmp_path, "atom_file = rare_top.csv\n", command)
     if command == "value":
-        assert res.stdout.splitlines()[0] == "value = -0.40862129490807053"
+        assert stdout.decode().splitlines()[0] == "value = -0.40862129490807053"
     else:
-        assert "nan" not in (tmp_path / "out" / "demo_report.txt").read_text()
+        assert "nan" not in (out / "demo_report.txt").read_text()
 
 
 @pytest.mark.parametrize(
@@ -701,13 +732,8 @@ def test_solve_ends_when_refinement_reaches_float_resolution(tmp_path, settings)
     # z_tol lies below the float spacing of the refined bracket. A fresh
     # interpreter with a timeout turns a loop that never ends into a failure.
     text = "mu = 0.3\nsigma = 0.5\nhorizon = 2\ngrid_points = 11\ny_nodes = 4\nr_nodes = 2\n"
-    (tmp_path / "run.cfg").write_text(text + settings)
-    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    res = subprocess.run([sys.executable, "-m", "cptalloc", "solve", "--config", "run.cfg",
-                          "--out", "out"], cwd=tmp_path, env=env, capture_output=True, text=True,
-                         timeout=30)
-    assert (res.returncode, res.stderr) == (0, "")
-    assert len(policy_rows(tmp_path / "out")) == 2
+    out, _ = main_one_blas_thread(tmp_path, text + settings, "solve", timeout=30)
+    assert len(policy_rows(out)) == 2
 
 
 def policy_rows(out):

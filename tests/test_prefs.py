@@ -83,6 +83,21 @@ def test_float_weight_equals_zero_d_expression(e):
         assert repr(_weight(p, e)) == repr(float(want)), p
 
 
+@pytest.mark.parametrize("side", ["gain", "loss"])
+def test_distort_gives_each_scalar_kind_the_zero_d_bits(side):
+    # distort hands a 0-d p over to _weight as a float. A float, a numpy
+    # scalar and a 0-d array must all keep the bits of the 0-d array
+    # expression, so a hand-over whose first power is Python's ** fails here.
+    e = TK.gamma if side == "gain" else TK.delta
+    draws = np.random.default_rng(20160830).uniform(size=2000).tolist()
+    edges = [0.0, 5e-324, 1e-300, 0.3, 0.997209935789211, 1.0 - 2.0**-53, 1.0]
+    for p in edges + draws:
+        pv = np.asarray(p)
+        num = pv**e
+        want = repr(float(num / (num + (1.0 - pv) ** e) ** (1.0 / e)))
+        assert [repr(distort(TK, side, x)) for x in (p, np.float64(p), pv)] == [want] * 3, p
+
+
 class TestValidation:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2])
     def test_alpha_bounds(self, alpha):
