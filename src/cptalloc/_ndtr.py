@@ -161,7 +161,11 @@ def erf(x: float) -> float:
     if x < 0.0:
         return -erf(-x)
     z = x * x
-    return x * polevl(z, T) / p1evl(z, U)
+    t0, t1, t2, t3, t4 = T
+    u0, u1, u2, u3, u4 = U
+    # polevl(z, T) and p1evl(z, U), unrolled.
+    return x * ((((t0 * z + t1) * z + t2) * z + t3) * z + t4) / (
+        ((((z + u0) * z + u1) * z + u2) * z + u3) * z + u4)
 
 
 def erfc(a: float) -> float:
@@ -172,12 +176,17 @@ def erfc(a: float) -> float:
     if z < -MAXLOG:  # exp(z) would be subnormal: Cephes reports underflow
         return 0.0
     z = math.exp(z)
+    # polevl(a, P) and p1evl(a, Q), or polevl(a, R) and p1evl(a, S), unrolled.
     if a < 8.0:
-        p = polevl(a, P)
-        q = p1evl(a, Q)
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = P
+        q0, q1, q2, q3, q4, q5, q6, q7 = Q
+        p = (((((((p0 * a + p1) * a + p2) * a + p3) * a + p4) * a + p5) * a + p6) * a + p7) * a + p8
+        q = (((((((a + q0) * a + q1) * a + q2) * a + q3) * a + q4) * a + q5) * a + q6) * a + q7
     else:
-        p = polevl(a, R)
-        q = p1evl(a, S)
+        r0, r1, r2, r3, r4, r5 = R
+        s0, s1, s2, s3, s4, s5 = S
+        p = ((((r0 * a + r1) * a + r2) * a + r3) * a + r4) * a + r5
+        q = (((((a + s0) * a + s1) * a + s2) * a + s3) * a + s4) * a + s5
     return (z * p) / q
 
 

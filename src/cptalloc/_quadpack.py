@@ -5,8 +5,10 @@ A line-for-line port of the routines ``dqagse``, ``dqk21``, ``dqpsrt`` and
 code behind ``scipy.integrate.quad`` on a finite interval. QAGS is sequential
 float64 arithmetic, so keeping the Fortran order of every operation gives
 scipy's value, error estimate and evaluation count bit for bit. Do not reorder,
-fuse or vectorise any expression here: the integrand is called once per
-abscissa, and every sum runs in the Fortran order.
+fuse or vectorise any expression here. The integrand is called once per
+panel: it takes the list of the panel's 21 abscissae, the centre first and then
+the pair centr - absc, centr + absc for each node in _NODE_ORDER, and returns
+their 21 values, which QAGS sums in the Fortran order.
 
 The work lists are indexed from 1, as in the Fortran; slot 0 is unused.
 """
@@ -56,16 +58,21 @@ def _qk21(f, a, b):
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
-    fc = float(f(centr))
+    xs = [centr]
+    for j in _NODE_ORDER:
+        absc = hlgth * _XGK[j]
+        xs.append(centr - absc)
+        xs.append(centr + absc)
+    fx = f(xs)
+    fc = float(fx[0])
     resg = 0.0
     resk = _WGK_CENTRE * fc
     resabs = abs(resk)
     fv1 = [0.0] * 10
     fv2 = [0.0] * 10
-    for j in _NODE_ORDER:
-        absc = hlgth * _XGK[j]
-        fval1 = float(f(centr - absc))
-        fval2 = float(f(centr + absc))
+    for i, j in enumerate(_NODE_ORDER, 1):
+        fval1 = float(fx[2 * i - 1])
+        fval2 = float(fx[2 * i])
         fv1[j] = fval1
         fv2[j] = fval2
         fsum = fval1 + fval2
@@ -219,7 +226,8 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
 
     Returns ``(value, abserr, {"neval": n})`` like ``scipy.integrate.quad``
     with ``full_output=1``, followed by a one-line message from MESSAGES when
-    QAGS reports failure. f takes and returns one float.
+    QAGS reports failure. f takes a list of 21 floats, a panel's abscissae,
+    and returns their 21 values; ``neval`` counts the abscissae.
     """
     if epsabs <= 0.0 and epsrel < max(50.0 * EPMACH, 0.5e-28):
         raise ValueError("quad: with epsabs <= 0, epsrel must exceed max(50 * eps, 5e-29)")

@@ -151,8 +151,8 @@ def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = CDF_TOL) -> Cpt
     x_hi = d.quantile(1.0 - TAIL_MASS)
     if x_hi > 0.0:
 
-        def gain_integrand(s: float) -> float:
-            return _weight(1.0 - d.cdf(s**inv_a), gamma)
+        def gain_integrand(ss: list) -> list:
+            return _weight([1.0 - d.cdf(s**inv_a) for s in ss], gamma)
 
         breaks = atoms[atoms > 0.0] ** a if atoms is not None else None
         gain = _quad_leg(gain_integrand, x_hi**a, breaks, tol, "gain", 1.0 - TAIL_MASS)
@@ -161,8 +161,8 @@ def cpt_cdf(prefs: CptPreferences, d: Distribution, tol: float = CDF_TOL) -> Cpt
     x_lo = d.quantile(TAIL_MASS)
     if x_lo < 0.0:
 
-        def loss_integrand(s: float) -> float:
-            return lam * _weight(d.cdf(-(s**inv_a)), delta)
+        def loss_integrand(ss: list) -> list:
+            return [lam * w for w in _weight([d.cdf(-(s**inv_a)) for s in ss], delta)]
 
         breaks = (-atoms[atoms < 0.0]) ** a if atoms is not None else None
         loss = _quad_leg(loss_integrand, (-x_lo) ** a, breaks, tol, "loss", TAIL_MASS)

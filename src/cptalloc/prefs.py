@@ -65,12 +65,17 @@ def value(prefs: CptPreferences, x):
 
 def _weight(p, exponent: float):
     """Inverse-S probability weighting curve p**e / (p**e + (1-p)**e)**(1/e),
-    of a float p or elementwise of an array p with ndim >= 1."""
+    of a float p, elementwise of a list of floats p, or elementwise of an
+    array p with ndim >= 1."""
     if isinstance(p, float):
-        # A scalar p: numpy's array power first, as on a 0-d array (its last
-        # bits can differ from libm's pow), then floats and libm's pow.
-        num = float(np.asarray(p) ** exponent)
-        return num / (num + (1.0 - p) ** exponent) ** (1.0 / exponent)
+        return _weight([p], exponent)[0]
+    if isinstance(p, list):
+        # The float rule: numpy's array power first, one call for the whole
+        # list (its last bits can differ from libm's pow, and each element
+        # equals a 0-d array's power), then floats and libm's pow.
+        inv = 1.0 / exponent
+        nums = (np.array(p) ** exponent).tolist()
+        return [num / (num + (1.0 - q) ** exponent) ** inv for num, q in zip(nums, p)]
     pv = np.asarray(p, dtype=float)
     num = pv**exponent
     # The same ufuncs in the same order, in place: one temporary, not three.

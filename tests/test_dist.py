@@ -363,6 +363,16 @@ def test_cached_hermite_nodes_equal_the_uncached_rule(n):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+@pytest.mark.parametrize("n", [2, 7, 256])
+def test_rate_nodes_clamp_at_minus_one_plus_1e_9(n):
+    # The lowest raw node lies far below -1, so the clamp binds there, and
+    # its value is the literal, not dist.MIN_RATE read back.
+    raw, _ = old_hermite_nodes(0.0, 10.0 * np.sqrt(100), n)
+    nodes, _ = GaussianSqrtTRate(0.0, 10.0).nodes(100, n)
+    assert raw.min() < -1.0
+    assert nodes.min() == -1 + 1e-9
+
+
 def test_a_caller_cannot_change_a_later_hermite_rule():
     want = [a.tobytes() for a in old_hermite_nodes(0.3, 2.0, 32)]
     x, w = Normal(0.3, 2.0).expectation_nodes(32)

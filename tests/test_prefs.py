@@ -83,6 +83,38 @@ def test_float_weight_equals_zero_d_expression(e):
         assert repr(_weight(p, e)) == repr(float(want)), p
 
 
+def weight_before(p, e):
+    """The float rule as written before it took lists: a 0-d array's power first."""
+    num = float(np.asarray(p) ** e)
+    return num / (num + (1.0 - p) ** e) ** (1.0 / e)
+
+
+@pytest.mark.parametrize("e", [0.29, 0.5, 0.61, 0.69, 0.99])
+def test_list_weight_equals_the_float_rule_per_element(e):
+    # The quadrature integrands distort a whole panel at once: one array
+    # power over the list, then libm's pow per element. Each element must
+    # keep the bits of the float rule and of the expression it replaced.
+    rng = np.random.default_rng(20161031)
+    draws = np.concatenate([
+        rng.uniform(size=1200),
+        10.0 ** rng.uniform(-320.0, -12.0, 600),  # p < 1e-12, subnormals included
+        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 600),  # p near 1
+        [0.0, 5e-324, 1.0 - 2.0**-53, 1.0],
+    ])
+    rng.shuffle(draws)
+    draws = draws.tolist()
+    for size in (1, 7, 21, 33):
+        for k in range(0, len(draws), size):
+            ps = draws[k:k + size]
+            got = _weight(ps, e)
+            assert type(got) is list and all(type(w) is float for w in got)
+            assert list(map(repr, got)) == [repr(weight_before(p, e)) for p in ps], ps
+            assert list(map(repr, got)) == [repr(_weight(p, e)) for p in ps], ps
+    for side in ("gain", "loss"):
+        if e == (TK.gamma if side == "gain" else TK.delta):
+            assert [repr(distort(TK, side, p)) for p in draws] == [repr(weight_before(p, e)) for p in draws]
+
+
 @pytest.mark.parametrize("side", ["gain", "loss"])
 def test_distort_gives_each_scalar_kind_the_zero_d_bits(side):
     # distort hands a 0-d p over to _weight as a float. A float, a numpy

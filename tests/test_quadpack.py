@@ -2,7 +2,9 @@
 
 scipy runs the same QUADPACK routines in float64, so the port must return
 scipy's value, error estimate and evaluation count bit for bit, and report
-failure exactly when scipy attaches a message.
+failure exactly when scipy attaches a message. scipy calls its integrand once
+per abscissa, the port once per panel of 21: each case hands scipy a scalar
+integrand and the port its `batch` form.
 """
 
 import math
@@ -66,6 +68,11 @@ def _odd_pole_and_step(x):
 
 
 
+def batch(g):
+    """The port's panel integrand from a scalar one: g at each abscissa, in order."""
+    return lambda xs: [g(x) for x in xs]
+
+
 def reference(f, a, b, epsabs, epsrel, limit):
     """scipy's QAGS as (value, abserr, neval, has_message)."""
     with warnings.catch_warnings():
@@ -123,15 +130,42 @@ def test_matches_scipy_bit_for_bit(name):
         for limit in LIMITS:
             for epsabs, epsrel in TOLERANCES:
                 want = reference(f, a, b, epsabs, epsrel, limit)
-                assert_identical(ported(f, a, b, epsabs, epsrel, limit), want)
+                assert_identical(ported(batch(f), a, b, epsabs, epsrel, limit), want)
 
 
 def test_zero_area_at_the_subinterval_limit_matches_scipy():
     """At limit 15 the running area is 0.0 and the extrapolation error is
     below the sum of the panel errors, so QAGS skips its divergence test, a
     branch the grid above does not reach."""
-    args = (_odd_pole_and_step, -1.0, 1.0, 1.49e-8, 1.49e-8, 15)
-    assert_identical(ported(*args), reference(*args))
+    args = (-1.0, 1.0, 1.49e-8, 1.49e-8, 15)
+    assert_identical(ported(batch(_odd_pole_and_step), *args), reference(_odd_pole_and_step, *args))
+
+
+def test_integrand_is_called_once_per_panel_in_scipys_order():
+    """Each call takes one panel's 21 abscissae: the centre, then the pair
+    centr - absc, centr + absc for each node in _NODE_ORDER. In all, the
+    points are the ones scipy evaluates one at a time, in its order, and
+    their count is neval."""
+    for name in ("inv_sqrt", "sin_inv", "step", "exp"):
+        g = INTEGRANDS[name]
+        for a, b in INTERVALS:
+            for limit in (1, 400):
+                panels, points = [], []
+
+                def recording(xs):
+                    panels.append(list(xs))
+                    return [g(x) for x in xs]
+
+                out = quad(recording, a, b, 1.49e-8, 1.49e-8, limit)
+                scipy_quad(lambda x: points.append(x) or g(x), a, b, limit=limit, full_output=1)
+                centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+                first = [centr]
+                for j in _quadpack._NODE_ORDER:
+                    first += [centr - hlgth * _quadpack._XGK[j], centr + hlgth * _quadpack._XGK[j]]
+                assert panels[0] == first, name
+                assert {len(xs) for xs in panels} == {21}, name
+                assert [x for xs in panels for x in xs] == points, (name, a, b, limit)
+                assert sum(map(len, panels)) == out[2]["neval"], (name, a, b, limit)
 
 
 def test_cases_reach_every_failure_code():
@@ -139,7 +173,7 @@ def test_cases_reach_every_failure_code():
     for f in INTEGRANDS.values():
         for a, b in INTERVALS:
             for epsabs, epsrel in TOLERANCES:
-                out = quad(f, a, b, epsabs, epsrel, 400)
+                out = quad(batch(f), a, b, epsabs, epsrel, 400)
                 if len(out) > 3:
                     codes.add(next(k for k, v in MESSAGES.items() if v == out[3]))
     assert codes == {0, 1, 2, 3, 4, 5}
@@ -149,7 +183,7 @@ def test_rejects_unattainable_tolerance_like_scipy():
     with pytest.raises(ValueError):
         scipy_quad(math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-20)
     with pytest.raises(ValueError):
-        quad(math.exp, 0.0, 1.0, 0.0, 1e-20, 400)
+        quad(batch(math.exp), 0.0, 1.0, 0.0, 1e-20, 400)
 
 
 def test_cpt_cdf_legs_match_scipy(monkeypatch):
@@ -158,7 +192,7 @@ def test_cpt_cdf_legs_match_scipy(monkeypatch):
 
     def checked_quad(f, a, b, epsabs, epsrel, limit):
         legs.append(ported(f, a, b, epsabs, epsrel, limit))
-        assert_identical(legs[-1], reference(f, a, b, epsabs, epsrel, limit))
+        assert_identical(legs[-1], reference(lambda x: f([x])[0], a, b, epsabs, epsrel, limit))
         return quad(f, a, b, epsabs, epsrel, limit)
 
     monkeypatch.setattr(choquet, "quad", checked_quad)

@@ -436,6 +436,9 @@ def test_least_exposure_is_scale_free():
     for scale in (1e-9, 1.0, 1e9):
         assert _least_exposure(scale * vals, np.abs(zs), zs) == 1
     assert _least_exposure(np.array([0.0, np.inf, 1.0]), np.abs(zs[:3]), zs[:3]) == 1
+    # A relative gap of 1e-11 exceeds TIE_RTOL: the larger value beats the smaller exposure.
+    for scale in (1e-9, 1.0, 1e9):
+        assert _least_exposure(scale * np.array([1.0 - 1e-11, 1.0]), np.abs(zs[3:]), zs[3:]) == 1
 
 
 def test_least_exposure_compares_the_first_key_first():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+import cptalloc._quadpack
 import cptalloc.cli as cli
 import cptalloc.dist as dist
 
@@ -22,6 +23,21 @@ def test_traced_solve_and_simulate_count_their_layers(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
+    # Under the tracer's wrapper, the port itself counts its evaluations
+    # and the abscissae it hands the integrands.
+    port = cptalloc._quadpack.quad
+    seen = {"neval": 0, "points": 0}
+
+    def counted_port(f, *args):
+        def counted_f(xs):
+            seen["points"] += len(xs)
+            return f(xs)
+
+        out = port(counted_f, *args)
+        seen["neval"] += out[2]["neval"]
+        return out
+
+    monkeypatch.setattr(cptalloc._quadpack, "quad", counted_port)
     cfg = cli.parse_config(TINY)
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
@@ -39,7 +55,8 @@ def test_traced_solve_and_simulate_count_their_layers(tmp_path, monkeypatch):
     assert tracer.calls["cli.run_solve"] == tracer.calls["cli.run_simulate"] == 1
     assert tracer.calls["simulate.simulate_paths"] == 1
     assert tracer.calls["dist.sample"] == 4
-    assert tracer.counters["choquet.quad_neval"] > 0
+    assert seen["neval"] > 0
+    assert tracer.counters["choquet.quad_neval"] == seen["neval"] == seen["points"]
     metrics = tracing.layer_metrics(tracer, cli.worker_count())
     assert metrics["simulate.path_steps"] == (N_PATHS * HORIZON, "count")
 
