@@ -78,7 +78,9 @@ def _cpt_rows(prefs: CptPreferences, values: np.ndarray, lower: np.ndarray, n: l
     `values`, `lower` (the CDF below each value, led by a 0) and the list `n`
     are as ``dist._merge_rows`` returns them. Each row takes one BLAS dot
     per leg over contiguous slices, so its legs do not depend on the other
-    rows.
+    rows. Neither leg can be negative: summed by parts, each is a sum of
+    distorted tail probabilities (>= 0) times the steps of a level that grows
+    away from 0, and rounding moves it by a relative n * eps at most.
     """
     rows = values.shape[0]
     n_neg = (values < 0.0).sum(axis=1).tolist()  # losses come first in a sorted row
@@ -105,8 +107,6 @@ def _cpt_rows(prefs: CptPreferences, values: np.ndarray, lower: np.ndarray, n: l
         if neg:
             # A Python float product: an overflow gives inf, not numpy's RuntimeWarning.
             loss[i] = prefs.lam * float(np.dot(d_loss[i, :neg], level[i, :neg]))
-    if (gain < 0.0).any() or (loss < 0.0).any():
-        raise ValueError("gain_part and loss_part must be non-negative")
     return gain, loss
 
 

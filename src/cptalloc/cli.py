@@ -54,7 +54,7 @@ RATE_MODES = ("fixed", "sqrt_t")
 # Bounds every command's horizon, and so a solve's time: a period that the
 # kernel solves takes about 8 ms at the default grid and nodes, and
 # solver.MAX_TENSOR admits 16 times that work per period. It bounds work, not
-# memory: the kernel holds one row block of the tensor at a time.
+# memory: the kernel holds two chunks of row blocks of the tensor at a time.
 MAX_HORIZON = 1_000
 # Bounds the simulated ensemble (and paths.csv, ~75 bytes per step) before
 # anything is solved or allocated: 20 times the default 10000 paths x 10 periods.
@@ -298,10 +298,13 @@ def _solve_table(cfg: RunConfig, schedule: list[Distribution]) -> PolicyTable:
 
 
 def worker_count() -> int:
-    """Sweeps solve on the calling thread, so one worker.
+    """Sweeps solve their variants on the calling thread, so one worker.
 
-    Kept because `perfbench/run.py --trace 1` divides `cli.sweep_pool_eff`
-    by it; it can go once the benchmark drops that metric.
+    The solver's kernel may split each grid scan with one helper thread of
+    its own; that helper is not a sweep worker, and `cli.sweep_pool_eff`
+    does not see it. Kept because `perfbench/run.py --trace 1` divides
+    `cli.sweep_pool_eff` by it; it can go once the benchmark drops that
+    metric.
     """
     return 1
 

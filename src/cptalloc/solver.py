@@ -23,10 +23,15 @@ smooth in z. The terminal corner gives A_{T-1} = -B_{T-1} exactly. A next
 row with A = -B makes the long and the mirrored objective one function of z;
 with symmetric bounds (lo_frac = -hi_frac) they also share a grid, so one scan
 gives both optima and the new row again has A = -B. Other rows take two scans.
+A scan of more than one chunk of row blocks splits its chunks between the
+calling thread and one helper thread, each chunk reduced to the same bits on
+either thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,13 +61,23 @@ TIE_RTOL = 1e-12
 
 CSV_HEADER = "t,A_t,B_t,kStar,kHatStar"
 
-# recursion_step builds and reduces the tensor in row blocks of about this
-# many entries (64 KB per float block) and at least 4 rows, so no grid x nodes
-# array is ever held. Blocks this small also keep a solve's bits independent
-# of OPENBLAS_NUM_THREADS: OpenBLAS splits a large matrix-vector product
-# between threads, which regroups its sums, but on these blocks 1 and 2
-# threads agree up to 256 x 256 nodes.
+# recursion_step reduces the tensor in row blocks of about this many entries
+# (64 KB per float block) and at least 4 rows, one matrix-vector product each.
+# Blocks this small keep a solve's bits independent of OPENBLAS_NUM_THREADS:
+# OpenBLAS splits a large matrix-vector product between threads, which
+# regroups its sums, but on these blocks 1 and 2 threads agree up to
+# 256 x 256 nodes.
 MIX_BLOCK_ENTRIES = 2**13
+# Each thread builds the tensor a chunk of this many row blocks at a time (2**15
+# entries, 256 KB, at the default nodes) in one buffer per thread and scan, so
+# no grid x nodes array is ever held. Smaller chunks hand the interpreter lock
+# between the threads too often to gain; two chunk buffers are about 0.5 MB.
+MIX_CHUNK_BLOCKS = 4
+# The calling thread and at most one helper split a scan's chunks, if the
+# process may run on two CPUs (os.sched_getaffinity is not on every platform).
+# A CPU-time quota is not seen: under one, the two threads share its time.
+_KERNEL_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -149,7 +164,7 @@ class SolverSettings:
 
 
 # Entries of one scan's grid x nodes tensor, the work of a solved period (its
-# memory is one row block): 16 times the default grid x return x rate nodes.
+# memory is two chunks): 16 times the default grid x return x rate nodes.
 MAX_TENSOR = 16 * SolverSettings.grid_points * SolverSettings.y_nodes * SolverSettings.r_nodes
 
 
@@ -292,6 +307,45 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _mix_chunks(chunks, buf, mask, zs, yy, growth, ww, a, c_pos, c_neg, out) -> None:
+    """Write out[start:stop] for each row block (start, stop) of the chunks:
+    the entries c_pos*max(q, 0)**a + c_neg*max(-q, 0)**a of q = yy*z + growth
+    against the node weights ww, one power per entry.
+
+    Each chunk is built in place in buf, then reduced block by block. Unless
+    c_neg == c_pos (A = -B), the q < 0 entries take c_neg through the
+    boolean mask, which is reused as well.
+    """
+    for chunk in chunks:
+        first, last = chunk[0][0], chunk[-1][1]
+        q = buf[:last - first]
+        np.multiply.outer(zs[first:last], yy, out=q)
+        q += growth
+        if mask is not None:
+            neg = mask[:last - first]
+            np.less(q, 0.0, out=neg)
+        np.abs(q, out=q)
+        q **= a
+        if mask is None:
+            q *= c_pos
+        else:
+            np.multiply(q, c_neg, out=q, where=neg)
+            np.logical_not(neg, out=neg)
+            np.multiply(q, c_pos, out=q, where=neg)
+        for start, stop in chunk:
+            out[start:stop] = q[start - first:stop - first] @ ww
+
+
+def _mix_helper(errors: list, *args) -> None:
+    """_mix_chunks on a helper thread, which keeps what it raises in errors."""
+    try:
+        # numpy's error state is per thread, and a new thread starts from the defaults.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _mix_chunks(*args)
+    except BaseException as exc:
+        errors.append(exc)
+
+
 def recursion_step(
     prefs: CptPreferences,
     constraints: Constraints,
@@ -320,7 +374,8 @@ def recursion_step(
             f"period {t}: grid_points x return nodes x rate nodes = {settings.grid_points} x "
             f"{yv.size} x {rv.size} exceeds {MAX_TENSOR}"
         )
-    growth = 1.0 + rv[:, None]
+    yy = np.tile(yv, rv.size)
+    growth = np.repeat(1.0 + rv, yv.size)
     ww = np.outer(rw, yw).ravel()
     a_next, b_next = nxt.a_coef, nxt.b_coef
     lo, hi = constraints.lo_frac, constraints.hi_frac
@@ -336,18 +391,31 @@ def recursion_step(
     step = max(4, MIX_BLOCK_ENTRIES // ww.size // 4 * 4)
 
     def mix_batch(zs: np.ndarray, c_pos: float, c_neg: float) -> np.ndarray:
-        # Entries c_pos*max(q, 0)**a + c_neg*max(-q, 0)**a against the node
-        # weights, one row block of q at a time with one power per entry.
-        # Unless c_neg == c_pos (A = -B), the q < 0 entries take c_neg.
         out = np.empty(zs.size)
         starts = range(0, max(zs.size - 1, 1), step)
-        for start, stop in zip(starts, [*starts[1:], zs.size]):
-            q = np.add(np.multiply.outer(zs[start:stop], yv)[:, None], growth).reshape(-1, ww.size)
-            neg = q < 0.0 if c_neg != c_pos else None
-            np.abs(q, out=q)
-            q **= a
-            q *= c_pos if neg is None else np.where(neg, c_neg, c_pos)
-            out[start:stop] = q @ ww
+        blocks = list(zip(starts, [*starts[1:], zs.size]))
+        chunks = [blocks[i:i + MIX_CHUNK_BLOCKS] for i in range(0, len(blocks), MIX_CHUNK_BLOCKS)]
+        # The calling thread takes chunks 0, 2, 4, ... and the helper 1, 3, 5, ...
+        # Both buffers come from the calling thread: what a new thread allocates
+        # takes fresh pages, which added 0.4 MB to a cold solve's peak RSS.
+        shares = [chunks[::2], chunks[1::2]] if len(chunks) > 1 and _KERNEL_THREADS > 1 else [chunks]
+        work = []
+        for share in shares:
+            rows = max(chunk[-1][1] - chunk[0][0] for chunk in share)
+            mask = np.empty((rows, ww.size), dtype=bool) if c_neg != c_pos else None
+            work.append((share, np.empty((rows, ww.size)), mask, zs, yy, growth, ww, a, c_pos, c_neg, out))
+        if len(work) == 1:
+            _mix_chunks(*work[0])
+            return out
+        errors: list[BaseException] = []
+        helper = threading.Thread(target=_mix_helper, args=(errors, *work[1]))
+        helper.start()
+        try:
+            _mix_chunks(*work[0])
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
         return out
 
     # Overflowing powers become inf or nan; _finite_max turns a non-finite

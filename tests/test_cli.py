@@ -506,19 +506,32 @@ class TestMainExitCodes:
 SRC_DIR = Path(cli.__file__).resolve().parent.parent
 
 
-def main_one_blas_thread(tmp_path, text, *argv, threads=1, timeout=None):
+# `python -m cptalloc` in a process that first pins itself to the one CPU named
+# by its first argument, so that the solver's kernel runs on one thread.
+ONE_CPU = (
+    "import os, runpy, sys\n"
+    "os.sched_setaffinity(0, {int(sys.argv.pop(1))})\n"
+    "import cptalloc.solver\n"
+    "assert cptalloc.solver._KERNEL_THREADS == 1\n"
+    "runpy.run_module('cptalloc', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def main_one_blas_thread(tmp_path, text, *argv, threads=1, timeout=None, cpu=None):
     """Run main() on the config text in a fresh interpreter, which must exit 0
     and write nothing to stderr; return the out dir and the bytes written to
     stdout.
 
     The last digits of `value` on a large atom set depend on the summation
     order of a BLAS dot product, hence on its thread count: pin it to one,
-    unless `threads` asks for more. A `timeout` turns a hang into a failure.
+    unless `threads` asks for more. A `timeout` turns a hang into a failure,
+    and a `cpu` pins the interpreter to that one CPU (ONE_CPU).
     """
     (tmp_path / "run.cfg").write_text(text)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": str(SRC_DIR)}
+    launch = ["-m", "cptalloc"] if cpu is None else ["-c", ONE_CPU, str(cpu)]
     res = subprocess.run(
-        [sys.executable, "-m", "cptalloc", *argv, "--config", "run.cfg", "--out", "out"],
+        [sys.executable, *launch, *argv, "--config", "run.cfg", "--out", "out"],
         cwd=tmp_path, env=env, capture_output=True, timeout=timeout,
     )
     assert (res.returncode, res.stderr.decode()) == (0, "")
@@ -631,6 +644,17 @@ def test_solved_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, argv,
         out, _ = main_one_blas_thread(tmp_path / str(threads), ACTIVE_NORMAL, *argv, threads=threads)
         written.append((out / artifact).read_bytes())
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("case", ["solve_active", "solve_asymmetric"])
+def test_solved_policies_do_not_depend_on_the_cpu_count(tmp_path, case):
+    # The pinned digests come from a kernel that, given two CPUs, splits each
+    # scan with a helper thread; pinned to one CPU, it runs without one.
+    text, argv, (artifact,) = PINNED_COMMANDS[case]
+    (tmp_path / "atoms.csv").write_text(ACTIVE_ATOMS)
+    out, _ = main_one_blas_thread(tmp_path, text, *argv, cpu=min(os.sched_getaffinity(0)))
+    digest = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+    assert digest == PINNED_DIGESTS[f"{case}/{artifact}"]
 
 
 @pytest.mark.xfail(raises=AssertionError, reason="config_sha256 hashes the atom_file path as "

@@ -9,15 +9,16 @@ write policy.csv (solve, simulate) load hashlib for its config hash. A
 Normal law loads the Cephes port `_ndtr` and the QAGS port `_quadpack`;
 atoms load neither. No command needs scipy: `Normal.cdf` and
 `Normal.quantile` run the Cephes port, and `choquet.quad` runs the QAGS
-port. A sweep solves its variants on the calling thread, so none needs
-concurrent.futures. numpy's np.unique and np.quantile import numpy.ma, so
-no command calls either. Each lazily imported module is also expected by
-some case, so the probe is known to see an import when one happens. The
-package surface is checked here too: every public name resolves, lazily,
-to the object its home module defines. Last, a command registers `gc.freeze`
-to run at exit, once per process, so the interpreter's shutdown collections
-skip every object still alive: a cycle made after `main` returns is never
-finalized.
+port. A sweep solves its variants on the calling thread, and the solver's
+kernel splits a scan at the default grid with a plain threading.Thread, so
+none needs concurrent.futures. numpy's np.unique and np.quantile import
+numpy.ma, so no command calls either. Each lazily imported module is also
+expected by some case, so the probe is known to see an import when one
+happens. The package surface is checked here too: every public name
+resolves, lazily, to the object its home module defines. Last, a command
+registers `gc.freeze` to run at exit, once per process, so the interpreter's
+shutdown collections skip every object still alive: a cycle made after
+`main` returns is never finalized.
 """
 
 import importlib
@@ -51,6 +52,7 @@ TINY = "horizon = 2\nn_paths = 5\ngrid_points = 11\ny_nodes = 4\nr_nodes = 4\n"
 ATOMS = f"atom_file = {CONFIG_DIR / 'demo_gamble.csv'}\n" + TINY
 CONFIGS = {
     "normal.cfg": TINY,
+    "normal_default_grid.cfg": "mu = 0.3\nsigma = 0.5\nhorizon = 2\n",
     "atoms.cfg": ATOMS,
     "atoms_fixed.cfg": ATOMS + "rate_model = fixed\nrate = 0.03\n",
     "atoms_sqrt_t.cfg": ATOMS + "rate_model = sqrt_t\n",
@@ -109,10 +111,11 @@ def test_atom_only_commands_do_not_load_scipy(tmp_path, argv, expected):
     [
         (["value", "--config", "normal.cfg"], CLI | NORMAL),
         (["solve", "--config", "normal.cfg"], CLI | NORMAL | HASHLIB),
+        (["solve", "--config", "normal_default_grid.cfg"], CLI | NORMAL | HASHLIB),
         (["simulate", "--config", "normal.cfg"], CLI | NORMAL | SIMULATE | HASHLIB),
         ([*SWEEP, "--config", "normal.cfg"], CLI | NORMAL),
     ],
-    ids=["value", "solve", "simulate", "sweep"],
+    ids=["value", "solve", "solve_default_grid", "simulate", "sweep"],
 )
 def test_normal_law_commands_do_not_load_scipy(tmp_path, argv, expected):
     assert loaded_modules(tmp_path, argv) == expected

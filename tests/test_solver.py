@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,13 +302,13 @@ def traced_peak(step, *args):
 
 
 # The default 1001-point grid on 64 x 16 nodes. A full (len(zs), nodes) matrix
-# is 8.2 MB; the kernel holds one row block of it at a time (9 rows at most,
-# 74 KB) and traces about 0.3 MB in all.
+# is 8.2 MB; the kernel holds two 32-row chunk buffers of it, one per thread
+# (256 KB each, about 0.5 MB), and traces about 0.9 MB in all.
 PEAK_BOUND = 1e6
 
 
 def test_symmetric_step_peaks_no_higher_than_two_scans():
-    # Two scans, A != -B: a mask and a coefficient array per block on top.
+    # Two scans, A != -B: a mask per chunk buffer on top.
     args = (TK, BOUNDS, ACTIVE_NEXT, SQRT_T, Normal(0.3, 0.5), SolverSettings())
     recursion_step(*args)  # lazy imports and caches first
     assert traced_peak(recursion_step, *args) < PEAK_BOUND
@@ -317,6 +319,85 @@ def test_mirror_step_peaks_at_one_scan():
     args = (TK, BOUNDS, MIRROR_NEXT, SQRT_T, Normal(0.3, 0.5), SolverSettings())
     recursion_step(*args)  # lazy imports and caches first
     assert traced_peak(recursion_step, *args) < PEAK_BOUND
+
+
+def kernel_run(monkeypatch, threads, *args):
+    """recursion_step(*args) with the kernel on at most `threads` threads: the
+    row, the bytes of every batch that its scans evaluated, the sizes of those
+    batches and the number of threads that filled chunks."""
+    batches, fillers = [], set()
+    maximize, fill = solver._grid_then_golden, solver._mix_chunks
+
+    def recording(f_batch, *rest):
+        def f(zs):
+            batches.append(f_batch(zs))
+            return batches[-1]
+
+        return maximize(f, *rest)
+
+    def filling(*fill_args):
+        fillers.add(threading.get_ident())
+        fill(*fill_args)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_KERNEL_THREADS", threads)
+        m.setattr(solver, "_grid_then_golden", recording)
+        m.setattr(solver, "_mix_chunks", filling)
+        row = recursion_step(*args)
+    return row, [b.tobytes() for b in batches], [b.size for b in batches], len(fillers)
+
+
+@pytest.mark.parametrize(
+    "constraints, nxt, grid_points",
+    [
+        (BOUNDS, MIRROR_NEXT, 1001),
+        # A != -B on bounds that are not symmetric: two scans, each through the mask.
+        (Constraints(-0.5, 3.0), ACTIVE_NEXT, 1001),
+        # lo = 0 puts 0 on the grid: 1025 rows, whose last 8-row block takes the
+        # one-row remainder, in the last chunk, which is the helper's.
+        (Constraints(0.0, 3.0), ACTIVE_NEXT, 1025),
+    ],
+    ids=["mirror_default_grid", "asymmetric_mask", "remainder_block"],
+)
+def test_two_thread_scans_equal_one_thread_scans(monkeypatch, constraints, nxt, grid_points):
+    args = (TK, constraints, nxt, SQRT_T, Normal(0.3, 0.5), SolverSettings(grid_points=grid_points))
+    row_1, bytes_1, sizes_1, fillers_1 = kernel_run(monkeypatch, 1, *args)
+    row_2, bytes_2, sizes_2, fillers_2 = kernel_run(monkeypatch, 2, *args)
+    assert (fillers_1, fillers_2) == (1, 2)
+    assert row_1 == row_2
+    assert repr(row_1) == repr(row_2)
+    # Every batch each scan evaluated, from the grids to the single golden points.
+    assert sizes_1 == sizes_2
+    assert max(sizes_1) >= grid_points and min(sizes_1) == 1
+    assert bytes_1 == bytes_2
+
+
+def test_overflowing_next_row_is_a_numerical_error_without_a_warning(monkeypatch):
+    # Every entry 1e308 * |q|**alpha with |q|**alpha > 1.8 overflows, on both threads.
+    monkeypatch.setattr(solver, "_KERNEL_THREADS", 2)
+    nxt = PolicyCoefficients(2, 1e308, -1e308, 0.0, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="not finite"):
+            recursion_step(TK, BOUNDS, nxt, SQRT_T, Normal(0.3, 0.5), SolverSettings())
+    assert caught == []
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_a_failing_thread_reaches_the_caller_and_outlives_no_scan(monkeypatch, failing):
+    monkeypatch.setattr(solver, "_KERNEL_THREADS", 2)
+    caller, fill = threading.get_ident(), solver._mix_chunks
+
+    def failing_fill(*args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise RuntimeError(f"{failing} failed")
+        fill(*args)
+
+    monkeypatch.setattr(solver, "_mix_chunks", failing_fill)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+        recursion_step(TK, BOUNDS, MIRROR_NEXT, SQRT_T, Normal(0.3, 0.5), SolverSettings())
+    assert threading.active_count() == before
 
 
 def structure_solve(prefs=TK, constraints=BOUNDS):
